@@ -3,7 +3,9 @@
 Each benchmark module regenerates one paper table/figure at the scale in
 ``REPRO_BENCH_SCALE`` (default ``default``; set ``tiny`` for a smoke run or
 ``full`` for paper-scale traces).  Regenerated tables are printed to the
-terminal and archived under ``benchmarks/results/``.
+terminal and written under ``benchmarks/out/`` (ignored by git); the
+tracked ``benchmarks/results/`` copies are an archive refreshed on
+purpose (EXPERIMENTS.md says how), never as a side effect of a test run.
 """
 
 import os
@@ -11,7 +13,7 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
 def bench_scale() -> str:
@@ -25,13 +27,14 @@ def scale() -> str:
 
 @pytest.fixture(scope="session")
 def save_tables():
-    """Callable(name, tables): print and archive an experiment's tables."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Callable(name, tables): print an experiment's tables and write
+    them to ``benchmarks/out/<name>.txt``."""
+    OUT_DIR.mkdir(exist_ok=True)
 
     def _save(name, tables):
         text = "\n".join(table.to_ascii() for table in tables)
         print("\n" + text)
-        (RESULTS_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
+        (OUT_DIR / f"{name}.txt").write_text(text, encoding="utf-8")
         return tables
 
     return _save

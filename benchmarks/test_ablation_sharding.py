@@ -1,34 +1,49 @@
 """Ablation — hash-partitioned CAMP (section 4.1's vertical scaling).
 
 Sharding approximates single-instance CAMP: the cost-miss ratio should
-degrade only mildly as shards are added, while the striped per-shard
-locks must actually pay off under concurrency — shards=4/8 beat the
-single-mutex configuration on the threaded driver (the seed measured
-sharding on a single-threaded replay, where it could only lose).
+degrade only mildly as shards are added — a deterministic quality leg,
+asserted on any host.  The striped per-shard locks should also pay off
+under concurrency — shards=4/8 beat the single-mutex configuration on
+the threaded driver — but threads only run side by side where there are
+cores for them, so that timing leg is asserted on hosts with >= 4 CPUs
+and skipped elsewhere.
 """
 
-from conftest import bench_scale, run_once
+import os
+
+import pytest
+from conftest import bench_scale
 
 from repro.experiments import run_experiment
 
+#: fewer CPUs than this cannot resolve 8 threads of lock contention
+TIMING_MIN_CPUS = 4
 
-def test_sharding_ablation(benchmark, scale, save_tables):
-    tables = run_once(benchmark,
-                      lambda: run_experiment("ablation-sharding", scale))
+
+@pytest.fixture(scope="module")
+def table(save_tables):
+    tables = run_experiment("ablation-sharding", bench_scale())
     save_tables("ablation_sharding", tables)
-    table = tables[0]
+    return tables[0]
+
+
+def test_sharding_ablation(table):
     quality = {row[0]: row[2] for row in table.rows}   # cost-miss ratio
     single = quality[1]
     for shards, cost in quality.items():
         assert cost <= single + 0.1, \
             f"{shards} shards degraded cost-miss ratio to {cost:.4f}"
 
-    threaded = {row[0]: row[3] for row in table.rows}
+
+def test_striped_locks_beat_one_mutex_under_threads(table):
     if bench_scale() == "tiny":
-        # a tiny trace split 8 ways is a few hundred events per thread:
-        # thread start/join fixed costs swamp contention, so the timing
-        # leg is informational only at smoke scale
-        return
+        pytest.skip("a tiny trace split 8 ways is a few hundred events "
+                    "per thread: start/join costs swamp contention")
+    cpus = os.cpu_count() or 1
+    if cpus < TIMING_MIN_CPUS:
+        pytest.skip(f"{cpus} CPUs cannot run 8 threads side by side; the "
+                    f"timing leg needs >= {TIMING_MIN_CPUS}")
+    threaded = {row[0]: row[3] for row in table.rows}
     for shards in (4, 8):
         assert threaded[shards] < threaded[1], (
             f"striped locks must beat one mutex under threads: "

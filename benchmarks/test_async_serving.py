@@ -1,31 +1,13 @@
-"""Async serving surface: pipelined throughput + single-flight coalescing.
+"""Async serving surface: single-flight coalescing.
 
-Two claims of the serving redesign, measured and enforced:
-
-1. **Throughput** — at 64 connections the pipelined asyncio serving
-   surface (`AsyncTwemcacheServer` + a pipelining client, 32 requests
-   in flight per connection) sustains >= 2x the throughput of the
-   seed's serving surface: the thread-per-connection `TwemcacheServer`
-   driven the only way its blocking `SocketClient` can — one request
-   per round trip.  A third, transparency row drives the *threaded*
-   server with the same pipelined load: the sans-IO session batches
-   its responses too, so most of the raw win is pipelining itself;
-   at equal depth the two servers trade places run-to-run on one
-   GIL-bound core, and the event loop's edge is structural (no thread
-   per connection, async-loader composition).  The
-   driver runs in a *separate process* (raw sockets, fixed pipeline
-   depth per connection) so client-side GIL time cannot mask the
-   server-side difference being measured.
-
-2. **Coalescing** — a thundering herd of concurrent `get_or_compute`
-   misses on one key pays its loader exactly once, in both the sync
-   `Store` (per-key in-flight flights) and `AsyncStore` (shared load
-   tasks): duplicate loads per hot key ~= 1.
+A thundering herd of concurrent `get_or_compute` misses on one key pays
+its loader exactly once, in both the sync `Store` (per-key in-flight
+flights) and `AsyncStore` (shared load tasks): duplicate loads per hot
+key ~= 1.  Served throughput and latency are measured by `bench/`'s
+`served_getset` workload.
 """
 
 import asyncio
-import subprocess
-import sys
 import threading
 import time
 
@@ -33,131 +15,6 @@ from conftest import bench_scale
 
 from repro.analysis import Table
 from repro.cache import StoreConfig
-from repro.twemcache import (
-    AsyncTwemcacheServer,
-    TwemcacheEngine,
-    TwemcacheServer,
-)
-
-#: acceptance bar: pipelined asyncio surface >= 2x the blocking
-#: threaded surface at 64 connections.  The 2x bar is demonstrated by
-#: the archived default-scale table (measured ~2.9-5.2x locally, even
-#: with the full suite running alongside) and enforced strictly at
-#: full scale; tiny/default keep a safety margin because they run
-#: inside CI gates (`pytest -x` tier-1 collects benchmarks/) on noisy
-#: shared runners, where this assertion guards against rot, not
-#: regressions (same convention as benchmarks/test_store_batch.py).
-REQUIRED_SPEEDUP = {"tiny": 1.5, "default": 1.8, "full": 2.0}
-
-#: requests in flight per connection for the pipelined surfaces; the
-#: blocking SocketClient surface is structurally stuck at 1
-PIPELINE_DEPTH = 32
-
-SCALES = {
-    # conns, blocking_batches, pipelined_batches, rounds — sized so the
-    # tier-1 gate (`pytest -x` collects benchmarks/) stays in seconds
-    "tiny": (16, 40, 4, 1),
-    "default": (64, 60, 8, 2),
-    "full": (64, 200, 25, 3),
-}
-
-KEYS = 2000
-VALUE = b"v" * 100
-
-#: stdlib-only driver run in a subprocess: `conns` connections, each
-#: sending `depth` pipelined gets per batch and reading the replies
-#: before the next batch; prints total ops/s
-DRIVER = r'''
-import socket, sys, threading, time
-CRLF = b"\r\n"
-host, port, conns, keys, depth, batches = (
-    sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]),
-    int(sys.argv[5]), int(sys.argv[6]))
-
-def worker(conn_id, counts):
-    with socket.create_connection((host, port), timeout=120) as sock:
-        ops = 0
-        for batch in range(batches):
-            payload = b"".join(
-                ("get k%d" % ((conn_id * 131 + batch * depth + d) % keys)
-                 ).encode() + CRLF
-                for d in range(depth))
-            sock.sendall(payload)
-            ends, buffer = 0, b""
-            while ends < depth:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise RuntimeError("server closed mid-batch")
-                buffer += chunk
-                ends = buffer.count(b"END" + CRLF)
-            ops += depth
-        counts[conn_id] = ops
-
-counts = [0] * conns
-threads = [threading.Thread(target=worker, args=(i, counts))
-           for i in range(conns)]
-started = time.perf_counter()
-for t in threads:
-    t.start()
-for t in threads:
-    t.join()
-print(sum(counts) / (time.perf_counter() - started))
-'''
-
-
-def _engine() -> TwemcacheEngine:
-    engine = TwemcacheEngine(32 << 20, eviction="camp", slab_size=1 << 18)
-    for i in range(KEYS):
-        engine.set(f"k{i}", VALUE, cost=1)
-    return engine
-
-
-def _measure(server_cls, conns, depth, batches, rounds) -> float:
-    best = 0.0
-    for _ in range(rounds):
-        with server_cls(_engine()) as server:
-            host, port = server.address
-            result = subprocess.run(
-                [sys.executable, "-c", DRIVER, host, str(port),
-                 str(conns), str(KEYS), str(depth), str(batches)],
-                capture_output=True, text=True, timeout=600)
-            assert result.returncode == 0, result.stderr
-            best = max(best, float(result.stdout.strip()))
-    return best
-
-
-def test_async_serving_surface_throughput(save_tables):
-    scale = bench_scale()
-    conns, blocking_batches, pipe_batches, rounds = SCALES.get(
-        scale, SCALES["default"])
-    required = REQUIRED_SPEEDUP.get(scale, REQUIRED_SPEEDUP["default"])
-
-    blocking = _measure(TwemcacheServer, conns, 1,
-                        blocking_batches, rounds)
-    threaded_pipe = _measure(TwemcacheServer, conns, PIPELINE_DEPTH,
-                             pipe_batches, rounds)
-    asynced = _measure(AsyncTwemcacheServer, conns, PIPELINE_DEPTH,
-                       pipe_batches, rounds)
-    speedup = asynced / blocking
-
-    table = Table(
-        f"serving surface throughput ({conns} connections, "
-        f"scale {scale})",
-        ["surface", "connections", "pipeline_depth", "ops_per_sec",
-         "vs_blocking"])
-    table.add_row("threaded + blocking client", conns, 1,
-                  round(blocking), 1.0)
-    table.add_row("threaded + pipelined driver", conns, PIPELINE_DEPTH,
-                  round(threaded_pipe), round(threaded_pipe / blocking, 2))
-    table.add_row("asyncio + pipelined client", conns, PIPELINE_DEPTH,
-                  round(asynced), round(speedup, 2))
-    save_tables("async_serving", [table])
-
-    assert speedup >= required, (
-        f"pipelined asyncio surface {asynced:.0f} ops/s vs blocking "
-        f"threaded surface {blocking:.0f} ops/s: {speedup:.2f}x < "
-        f"{required}x at {conns} connections")
-
 
 HERD = {"tiny": (8, 4), "default": (32, 8), "full": (64, 16)}
 

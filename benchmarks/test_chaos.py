@@ -17,7 +17,7 @@ second mid-flight, SIGCONT, restart) backs three gates:
    read ever touched — and the drill demonstrably exercised the
    machinery (hints were written *and* replayed).
 
-Tables are archived to ``benchmarks/results/cluster_chaos.txt``.
+Tables are written to ``benchmarks/out/cluster_chaos.txt``.
 """
 
 import pytest

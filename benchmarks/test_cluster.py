@@ -20,7 +20,7 @@ gates:
    must rejoin warm: items recovered and their CAMP costs read back
    (cost-aware ``gets``) byte-for-byte as written.
 
-Tables are archived to ``benchmarks/results/cluster_serving.txt``.
+Tables are written to ``benchmarks/out/cluster_serving.txt``.
 """
 
 import pytest

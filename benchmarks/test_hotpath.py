@@ -16,7 +16,7 @@ The gate enforces a speedup floor (the tentpole target is >= 1.8x for
 CAMP at default scale) plus absolute ops/s floors, and pins decision
 equivalence: the optimized CAMP must make byte-identical eviction
 decisions to the reference on the full figure trace.  Results are
-archived in ``results/hotpath.txt``.
+written to ``out/hotpath.txt``.
 """
 
 import gc

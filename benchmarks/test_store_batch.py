@@ -10,7 +10,7 @@ benchmark measures and enforces it.
 
 import time
 
-from conftest import RESULTS_DIR, bench_scale
+from conftest import bench_scale
 
 from repro.analysis import Table
 from repro.cache import StoreConfig
@@ -44,7 +44,7 @@ def best_seconds(fn, rounds):
     return best
 
 
-def test_batched_requests_beat_looped_singles():
+def test_batched_requests_beat_looped_singles(save_tables):
     scale = bench_scale()
     ops = OPS.get(scale, OPS["default"])
     rounds = ROUNDS.get(scale, ROUNDS["default"])
@@ -97,10 +97,7 @@ def test_batched_requests_beat_looped_singles():
                   round(put_single / len(entries) * 1e6, 3),
                   round(put_batch / len(entries) * 1e6, 3),
                   round(put_speedup, 2))
-    text = table.to_ascii()
-    print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "store_batch.txt").write_text(text, encoding="utf-8")
+    save_tables("store_batch", [table])
 
     assert get_speedup >= required, (
         f"get_many only {get_speedup:.2f}x looped gets (need {required}x)")

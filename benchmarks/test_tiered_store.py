@@ -15,7 +15,7 @@ Three guards on ``repro.tiering``:
    index from the segment files and every probed key actually serves.
 """
 
-from conftest import RESULTS_DIR, bench_scale
+from conftest import bench_scale
 
 from repro.experiments import run_experiment, tiered
 
@@ -24,13 +24,10 @@ from repro.experiments import run_experiment, tiered
 REQUIRED_SAVING = 0.20
 
 
-def test_tiered_store_beats_memory_only_and_recovers():
+def test_tiered_store_beats_memory_only_and_recovers(save_tables):
     scale = bench_scale()
     tables = run_experiment("tiered", scale=scale)
-    text = "\n".join(table.to_ascii() for table in tables)
-    print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "tiered_store.txt").write_text(text, encoding="utf-8")
+    save_tables("tiered_store", tables)
 
     outcome = tiered.run_tiered_comparison(tiered.tiered_trace(scale))
     base = outcome.run_for("memory-only").total_miss_cost

@@ -13,7 +13,7 @@ Three guards on ``repro.persistence``:
    rot into something too slow to run inside a serving process.
 """
 
-from conftest import RESULTS_DIR, bench_scale
+from conftest import bench_scale
 
 from repro.experiments import run_experiment, warm_restart
 
@@ -25,15 +25,12 @@ from repro.experiments import run_experiment, warm_restart
 REQUIRED_ITEMS_PER_S = {"tiny": 1_000, "default": 2_000, "full": 4_000}
 
 
-def test_warm_restart_beats_cold_and_matches_control():
+def test_warm_restart_beats_cold_and_matches_control(save_tables):
     scale = bench_scale()
     required_rate = REQUIRED_ITEMS_PER_S.get(
         scale, REQUIRED_ITEMS_PER_S["default"])
     tables = run_experiment("warm-restart", scale=scale)
-    text = "\n".join(table.to_ascii() for table in tables)
-    print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "warm_restart.txt").write_text(text, encoding="utf-8")
+    save_tables("warm_restart", tables)
 
     for trace in warm_restart.warm_restart_traces(scale):
         outcome = warm_restart.run_restart_comparison(trace, "camp")

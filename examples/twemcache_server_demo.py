@@ -12,11 +12,11 @@ Run:  python examples/twemcache_server_demo.py
 import time
 
 from repro.twemcache import (
+    AsyncTwemcacheServer,
     InProcessClient,
     IqSession,
     SocketClient,
     TwemcacheEngine,
-    TwemcacheServer,
     replay_trace,
 )
 from repro.workloads import three_cost_trace
@@ -30,7 +30,7 @@ def expensive_computation(key: str) -> bytes:
 
 def main() -> None:
     engine = TwemcacheEngine(8 << 20, eviction="camp", slab_size=1 << 18)
-    with TwemcacheServer(engine) as server:
+    with AsyncTwemcacheServer(engine) as server:
         host, port = server.address
         print(f"server listening on {host}:{port} (CAMP eviction)\n")
 

@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--memory-mb", type=int, default=64)
     serve_cmd.add_argument("--eviction", default="camp",
                            choices=("lru", "camp"))
-    serve_cmd.add_argument("--async", dest="use_async", action="store_true",
-                           help="serve on one asyncio event loop "
-                                "(pipelined) instead of a thread per "
-                                "connection")
     serve_cmd.add_argument("--tier-dir", default=None,
                            help="enable the on-disk victim tier: slab "
                                 "evictions demote to segment files under "
@@ -358,26 +354,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.twemcache import (AsyncTwemcacheServer, TwemcacheEngine,
-                                 TwemcacheServer)
+    from repro.twemcache import AsyncTwemcacheServer, TwemcacheEngine
     engine = TwemcacheEngine(
         args.memory_mb << 20, eviction=args.eviction,
         tier_dir=args.tier_dir,
         tier_bytes=args.tier_mb << 20,
         tier_min_cost_per_byte=args.tier_min_cost_per_byte)
-    if args.use_async:
-        server = AsyncTwemcacheServer(engine, port=args.port).start()
-        flavor = f"{args.eviction}, asyncio pipelined"
-    else:
-        server = TwemcacheServer(engine, port=args.port).start()
-        flavor = f"{args.eviction}, threaded"
+    server = AsyncTwemcacheServer(engine, port=args.port).start()
     host, port = server.address
     tiered = ""
     if args.tier_dir:
         recovered = len(engine.tier)
         tiered = (f" with a {args.tier_mb} MiB disk tier at "
                   f"{args.tier_dir} ({recovered} records recovered)")
-    print(f"twemcache-like server ({flavor}) on {host}:{port}{tiered}; "
+    print(f"twemcache-like server ({args.eviction}) on {host}:{port}{tiered}; "
           f"Ctrl-C to stop")
     try:
         import time

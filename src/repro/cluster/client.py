@@ -62,7 +62,7 @@ from repro.cluster.hints import HintLog
 from repro.errors import ConfigurationError, ProtocolError
 from repro.persistence.format import PersistenceError
 from repro.twemcache.async_client import AsyncSocketClient
-from repro.twemcache.client import _Value
+from repro.twemcache.protocol import Value
 
 __all__ = ["ClusterClient"]
 
@@ -271,11 +271,11 @@ class ClusterClient:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    async def get(self, key: str) -> Optional[_Value]:
+    async def get(self, key: str) -> Optional[Value]:
         found = await self.get_many([key])
         return found.get(key)
 
-    async def get_many(self, keys: Sequence[str]) -> Dict[str, _Value]:
+    async def get_many(self, keys: Sequence[str]) -> Dict[str, Value]:
         """Fetch a batch across the cluster; misses are simply absent.
 
         Each round shards the still-pending keys by their current
@@ -290,11 +290,11 @@ class ClusterClient:
         if not keys:
             return {}
         deadline = self._deadline()
-        found: Dict[str, _Value] = {}
+        found: Dict[str, Value] = {}
         # key -> index into its preference list for the next attempt
         pending: Dict[str, int] = {key: 0 for key in dict.fromkeys(keys)}
         prefs = {key: self.holders(key) for key in pending}
-        repairs: List[Tuple[str, _Value]] = []   # replica hits to re-home
+        repairs: List[Tuple[str, Value]] = []   # replica hits to re-home
         while pending:
             remaining = self._remaining(deadline)
             if remaining is not None and remaining <= 0:
@@ -351,7 +351,7 @@ class ClusterClient:
         return found
 
     async def _read_repair(self, prefs: Dict[str, List[str]],
-                           repairs: List[Tuple[str, _Value]]) -> None:
+                           repairs: List[Tuple[str, Value]]) -> None:
         """Re-replicate replica hits onto their (admitted) primaries."""
         shards: Dict[str, List[Tuple[str, bytes, int, float, Number]]] = {}
         for key, value in repairs:
@@ -577,7 +577,7 @@ class ClusterClient:
                     divergent += 1
                     fetch.setdefault(source, set()).add(key)
                     push_plan.setdefault(holder, []).append((key, source))
-        values: Dict[str, _Value] = {}
+        values: Dict[str, Value] = {}
         for source, wanted in fetch.items():
             try:
                 values.update(await self._states[source].client.get_many(

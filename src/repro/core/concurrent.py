@@ -8,7 +8,7 @@ multiple physical queues" with keys hash-partitioned across them.
 Two building blocks reproduce that story in Python:
 
 * :class:`ThreadSafePolicy` — wraps any policy with one mutex so a
-  multi-threaded server (see ``repro.twemcache.server``) can share it.
+  multi-threaded caller (the threaded sharding ablation) can share it.
   The mutex is a plain (non-reentrant) ``threading.Lock``: no hot-path
   caller is re-entrant — the store drives the policy one event at a time,
   and batch paths go through :meth:`ThreadSafePolicy.bulk`, which takes

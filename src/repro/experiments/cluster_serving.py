@@ -19,7 +19,7 @@ shares a GIL with the servers being measured:
    back (``gets``) exactly as written, i.e. priorities intact.
 
 ``benchmarks/test_cluster.py`` turns all three into gates and archives
-the tables to ``benchmarks/results/cluster_serving.txt``.
+the tables to ``benchmarks/out/cluster_serving.txt``.
 """
 
 from __future__ import annotations

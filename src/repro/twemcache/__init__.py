@@ -3,8 +3,8 @@
 Components: the slab allocator (with calcification + random slab
 eviction), a buddy allocator alternative, the storage engine with per-class
 LRU or CAMP, the IQ cost-measurement framework, a memcached-style text
-protocol with a threaded TCP server and clients, and the trace replayer
-behind Figures 9a-9c.
+protocol with an asyncio TCP server and clients over one sans-IO session
+each side, and the trace replayer behind Figures 9a-9c.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ from repro.twemcache.engine import (
 )
 from repro.twemcache.iq import IqSession, VirtualClock
 from repro.twemcache.protocol import (
+    ClientSession,
     Command,
     ProtocolSession,
     Reply,
     Request,
     ServerSession,
+    Value,
     execute_command,
     parse_command_line,
 )
-from repro.twemcache.server import TwemcacheServer
 from repro.twemcache.slab import (
     DEFAULT_GROWTH_FACTOR,
     DEFAULT_MIN_CHUNK,
@@ -60,9 +61,10 @@ __all__ = [
     "Reply",
     "ProtocolSession",
     "ServerSession",
+    "ClientSession",
+    "Value",
     "execute_command",
     "parse_command_line",
-    "TwemcacheServer",
     "AsyncTwemcacheServer",
     "SocketClient",
     "AsyncSocketClient",

@@ -5,13 +5,16 @@ request/response: every call pays a full network round trip.  This
 client keeps a pool of connections and *pipelines*: ``get_many`` /
 ``set_many`` write a whole batch of commands per connection in one
 ``send`` and only then read the replies, so N requests cost ~one round
-trip per pool connection instead of N.  It speaks to either server
-(threaded or asyncio) — the wire format is identical — which is exactly
-how ``benchmarks/test_async_serving.py`` compares the two fairly.
+trip per pool connection instead of N.  Each connection is a transport
+over its own :class:`~repro.twemcache.protocol.ClientSession`, which
+renders the requests and parses the replies.
 
 Single-key ``get``/``set``/``delete`` work too (acquire a pooled
 connection, one round trip), so the client is a drop-in async
 counterpart for the sync surface, plus ``stats``/``version``/``save``.
+A single-key call and a whole batch each run under the one ``timeout``:
+a batch's per-connection exchanges run concurrently, so it waits no
+longer than one request.
 """
 
 from __future__ import annotations
@@ -21,63 +24,28 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.faults.transport import apply_connect_faults, apply_read_faults
-from repro.twemcache.client import _Value
-from repro.twemcache.protocol import (CRLF, chunk_get_keys, parse_number,
-                                      parse_value_header)
+from repro.twemcache.client import RECV_BYTES
+from repro.twemcache.protocol import ClientSession, Value
 
 __all__ = ["AsyncSocketClient"]
 
 Number = Union[int, float]
 
-#: generous stream limit so large values fit one readuntil/readexactly
+#: stream buffer before the socket is paused: a large batch reply
+#: arrives without flow-control round trips
 _STREAM_LIMIT = 16 << 20
 
 
 class _Connection:
-    """One pooled stream pair with response-parsing helpers."""
+    """One pooled stream pair and its protocol session."""
 
-    __slots__ = ("reader", "writer", "fault_plan", "fault_target")
+    __slots__ = ("reader", "writer", "session")
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 fault_plan=None, fault_target: str = "") -> None:
+                 writer: asyncio.StreamWriter) -> None:
         self.reader = reader
         self.writer = writer
-        self.fault_plan = fault_plan
-        self.fault_target = fault_target
-
-    async def read_line(self) -> bytes:
-        # one read-seam fault opportunity per reply line
-        await apply_read_faults(self.fault_plan, self.fault_target)
-        try:
-            line = await self.reader.readuntil(CRLF)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("server closed the connection") from None
-        return line[:-2]
-
-    async def read_exact(self, n: int) -> bytes:
-        try:
-            return await self.reader.readexactly(n)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("server closed the connection") from None
-
-    async def read_values(self, out: Dict[str, _Value]) -> None:
-        """Consume one get response (VALUE blocks until END) into out."""
-        while True:
-            line = await self.read_line()
-            if line == b"END":
-                return
-            if line.startswith(b"VALUE "):
-                key, flags, nbytes, cost = parse_value_header(line)
-                data = await self.read_exact(nbytes)
-                trailer = await self.read_exact(2)
-                if trailer != CRLF:
-                    raise ProtocolError("missing CRLF after data block")
-                out[key] = _Value(data, flags, cost)
-            elif line.startswith(b"CLIENT_ERROR"):
-                raise ProtocolError(line.decode())
-            else:
-                raise ProtocolError(f"unexpected reply {line!r}")
+        self.session = ClientSession()
 
     def close(self) -> None:
         self.writer.close()
@@ -116,8 +84,7 @@ class AsyncSocketClient:
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port, limit=_STREAM_LIMIT),
             timeout=self._timeout)
-        conn = _Connection(reader, writer, self._fault_plan,
-                           self._fault_target)
+        conn = _Connection(reader, writer)
         self._all.append(conn)
         return conn
 
@@ -164,42 +131,38 @@ class AsyncSocketClient:
             return conns
 
     # ------------------------------------------------------------------
-    # single-key operations
+    # exchanges
     # ------------------------------------------------------------------
-    async def get(self, *keys: str) -> Optional[_Value]:
-        """Fetch one or more keys in one command; returns the *last* hit
-        for the single-key call shape (mirrors the sync client), or use
-        :meth:`get_many` for a dict of every hit."""
-        found = await self.get_map(keys)
-        if not keys:
-            return None
-        for key in reversed(keys):
-            if key in found:
-                return found[key]
-        return None
+    async def _exchange(self, conn: _Connection, request: bytes) -> list:
+        """Write ``request`` on a checked-out connection and read every
+        reply its session expects.  Callers bound it by the timeout and
+        discard the connection on any raise."""
+        conn.writer.write(request)
+        await conn.writer.drain()
+        session, reader, plan = conn.session, conn.reader, self._fault_plan
+        replies = []
+        while session.pending:
+            if plan is not None:
+                # one read-seam opportunity per expected reply, so a
+                # plan's ``at`` does not depend on TCP segmentation
+                await apply_read_faults(plan, self._fault_target)
+            reply = session.next_reply()
+            while reply is None:
+                session.receive(await reader.read(RECV_BYTES))
+                reply = session.next_reply()
+            replies.append(reply)
+        return replies
 
-    async def get_map(self, keys: Sequence[str],
-                      with_cost: bool = False) -> Dict[str, _Value]:
-        """Multi-key get on one pooled connection (commands chunked to
-        stay under the server's line bound, pipelined).
-
-        ``with_cost=True`` issues ``gets`` so each returned ``_Value``
-        carries the item's CAMP cost — the cluster tier needs it to
-        read-repair without flattening costs to 0."""
-        chunks = chunk_get_keys(list(keys))
-        if not chunks:
-            return {}
-        verb = "gets " if with_cost else "get "
+    async def _call(self, render, *args):
+        """One request on one pooled connection: ``render(session,
+        *args)`` gives its bytes; returns its reply."""
         conn = await self._acquire()
         try:
-            conn.writer.write(b"".join(
-                (verb + " ".join(chunk)).encode() + CRLF
-                for chunk in chunks))
-            await conn.writer.drain()
-            out: Dict[str, _Value] = {}
-            for _ in chunks:
-                await asyncio.wait_for(conn.read_values(out),
-                                       timeout=self._timeout)
+            # a timeout scope, not wait_for: the exchange runs in this
+            # task, so the request is written now, not a loop turn later
+            async with asyncio.timeout(self._timeout):
+                replies = await self._exchange(
+                    conn, render(conn.session, *args))
         except BaseException:
             # BaseException, not Exception: CancelledError (an outer
             # wait_for / deadline budget expiring mid-read) must also
@@ -209,124 +172,24 @@ class AsyncSocketClient:
             self._release(conn, broken=True)
             raise
         self._release(conn)
-        return out
+        return replies[0]
 
-    async def set(self, key: str, value: bytes, flags: int = 0,
-                  expire_after: float = 0, cost: Number = 0) -> bool:
-        results = await self.set_many(
-            [(key, value, flags, expire_after, cost)])
-        return results[0]
-
-    async def delete(self, key: str) -> bool:
-        reply = await self._round_trip(f"delete {key}".encode() + CRLF)
-        if reply == b"DELETED":
-            return True
-        if reply == b"NOT_FOUND":
-            return False
-        raise ProtocolError(f"unexpected reply {reply!r}")
-
-    async def _round_trip(self, payload: bytes) -> bytes:
-        conn = await self._acquire()
+    async def _fan_out(self, items: list, render) -> List[list]:
+        """Shard ``items`` over up to ``pool_size`` connections (shard i
+        holds ``items[i::n]``), render each shard with ``render(session,
+        shard)`` and run the exchanges concurrently — under one timeout,
+        as a single exchange is; returns each connection's replies in
+        shard order."""
+        conns = await self._checked_out(len(items))
+        width = len(conns)
+        tasks: List[asyncio.Future] = []
         try:
-            conn.writer.write(payload)
-            await conn.writer.drain()
-            reply = await asyncio.wait_for(conn.read_line(),
-                                           timeout=self._timeout)
-        except BaseException:
-            # includes CancelledError — see get_map
-            self._release(conn, broken=True)
-            raise
-        self._release(conn)
-        return reply
-
-    # ------------------------------------------------------------------
-    # pipelined batches
-    # ------------------------------------------------------------------
-    async def get_many(self, keys: Sequence[str],
-                       keys_per_command: int = 1,
-                       with_cost: bool = False) -> Dict[str, _Value]:
-        """Pipelined fetch of many keys across the pool.
-
-        Keys are sharded over the pool's connections; each connection
-        receives *all* its get commands in one write, then replies are
-        parsed in order.  ``keys_per_command`` > 1 additionally packs
-        several keys into each multi-get command line; ``with_cost``
-        switches to the ``gets`` verb (values carry their CAMP cost).
-        """
-        if not keys:
-            return {}
-        conns = await self._checked_out(len(keys))
-        shards = [list(keys[i::len(conns)]) for i in range(len(conns))]
-        verb = "gets " if with_cost else "get "
-
-        async def run(conn: _Connection, shard: List[str]
-                      ) -> Dict[str, _Value]:
-            chunks = chunk_get_keys(shard, max_keys=keys_per_command)
-            payload = b"".join(
-                (verb + " ".join(chunk)).encode() + CRLF
-                for chunk in chunks)
-            conn.writer.write(payload)
-            await conn.writer.drain()
-            found: Dict[str, _Value] = {}
-            for _ in chunks:
-                await conn.read_values(found)
-            return found
-
-        return await self._fan_out(conns, shards, run, merge=dict)
-
-    async def set_many(self,
-                       entries: Iterable[Tuple[str, bytes, int, float,
-                                               Number]]) -> List[bool]:
-        """Pipelined stores: ``(key, value[, flags, expire_after, cost])``
-        rows fanned over the pool, one write per connection; returns
-        per-entry STORED booleans in input order."""
-        rows = [self._normalize_entry(entry) for entry in entries]
-        if not rows:
-            return []
-        conns = await self._checked_out(len(rows))
-        shards = [rows[i::len(conns)] for i in range(len(conns))]
-
-        async def run(conn: _Connection, shard) -> List[bool]:
-            payload = bytearray()
-            for key, value, flags, expire_after, cost in shard:
-                header = f"set {key} {flags} {expire_after} " \
-                         f"{len(value)} {cost}"
-                payload += header.encode() + CRLF + value + CRLF
-            conn.writer.write(bytes(payload))
-            await conn.writer.drain()
-            stored = []
-            for _ in shard:
-                reply = await conn.read_line()
-                if reply == b"STORED":
-                    stored.append(True)
-                elif reply == b"NOT_STORED":
-                    stored.append(False)
-                else:
-                    raise ProtocolError(f"unexpected reply {reply!r}")
-            return stored
-
-        per_conn = await self._fan_out(conns, shards, run, merge=None)
-        # un-shard back to input order (shard i holds rows i::n)
-        results: List[bool] = [False] * len(rows)
-        for i, shard_results in enumerate(per_conn):
-            for j, value in enumerate(shard_results):
-                results[i + j * len(conns)] = value
-        return results
-
-    @staticmethod
-    def _normalize_entry(entry) -> Tuple[str, bytes, int, float, Number]:
-        key, value = entry[0], entry[1]
-        flags = entry[2] if len(entry) > 2 else 0
-        expire_after = entry[3] if len(entry) > 3 else 0
-        cost = entry[4] if len(entry) > 4 else 0
-        return key, value, flags, expire_after, cost
-
-    async def _fan_out(self, conns, shards, run, merge):
-        tasks = [asyncio.ensure_future(run(conn, shard))
-                 for conn, shard in zip(conns, shards)]
-        try:
-            results = await asyncio.wait_for(
-                asyncio.gather(*tasks), timeout=self._timeout * len(shards))
+            for i, conn in enumerate(conns):
+                request = render(conn.session, items[i::width])
+                tasks.append(asyncio.ensure_future(
+                    self._exchange(conn, request)))
+            async with asyncio.timeout(self._timeout):
+                results = await asyncio.gather(*tasks)
         except BaseException:
             # BaseException so an outer cancellation also reaches the
             # cleanup below; quiesce sibling shards before tearing
@@ -339,37 +202,95 @@ class AsyncSocketClient:
             raise
         for conn in conns:
             self._release(conn)
-        if merge is dict:
-            merged: Dict[str, _Value] = {}
-            for result in results:
-                merged.update(result)
-            return merged
         return results
+
+    # ------------------------------------------------------------------
+    # single-key operations
+    # ------------------------------------------------------------------
+    async def get(self, *keys: str) -> Optional[Value]:
+        """Fetch one or more keys in one command; returns the *last* hit
+        for the single-key call shape (mirrors the sync client), or use
+        :meth:`get_many` for a dict of every hit."""
+        found = await self.get_map(keys)
+        for key in reversed(keys):
+            if key in found:
+                return found[key]
+        return None
+
+    async def get_map(self, keys: Sequence[str],
+                      with_cost: bool = False) -> Dict[str, Value]:
+        """Multi-key get on one pooled connection (commands chunked to
+        stay under the server's line bound, pipelined).
+
+        ``with_cost=True`` issues ``gets`` so each returned ``Value``
+        carries the item's CAMP cost — the cluster tier needs it to
+        read-repair without flattening costs to 0."""
+        if not keys:
+            return {}
+        return await self._call(ClientSession.get, keys, with_cost)
+
+    async def set(self, key: str, value: bytes, flags: int = 0,
+                  expire_after: float = 0, cost: Number = 0) -> bool:
+        return await self._call(ClientSession.set, key, value, flags,
+                                expire_after, cost)
+
+    async def delete(self, key: str) -> bool:
+        return await self._call(ClientSession.delete, key)
+
+    # ------------------------------------------------------------------
+    # pipelined batches
+    # ------------------------------------------------------------------
+    async def get_many(self, keys: Sequence[str],
+                       keys_per_command: int = 1,
+                       with_cost: bool = False) -> Dict[str, Value]:
+        """Pipelined fetch of many keys across the pool.
+
+        Keys are sharded over the pool's connections; each connection
+        receives *all* its get commands in one write, then replies are
+        parsed in order.  ``keys_per_command`` > 1 additionally packs
+        several keys into each multi-get command line; ``with_cost``
+        switches to the ``gets`` verb (values carry their CAMP cost).
+        """
+        if not keys:
+            return {}
+        per_conn = await self._fan_out(
+            list(keys), lambda session, shard: session.get(
+                shard, with_cost, keys_per_command))
+        found: Dict[str, Value] = {}
+        for (shard_found,) in per_conn:
+            found.update(shard_found)
+        return found
+
+    async def set_many(self,
+                       entries: Iterable[Tuple[str, bytes, int, float,
+                                               Number]]) -> List[bool]:
+        """Pipelined stores: ``(key, value[, flags, expire_after, cost])``
+        rows fanned over the pool, one write per connection; returns
+        per-entry STORED booleans in input order."""
+        rows = [self._normalize_entry(entry) for entry in entries]
+        if not rows:
+            return []
+        per_conn = await self._fan_out(
+            rows, lambda session, shard: b"".join(
+                session.set(*row) for row in shard))
+        results: List[bool] = [False] * len(rows)
+        for i, stored in enumerate(per_conn):
+            results[i::len(per_conn)] = stored
+        return results
+
+    @staticmethod
+    def _normalize_entry(entry) -> Tuple[str, bytes, int, float, Number]:
+        key, value = entry[0], entry[1]
+        flags = entry[2] if len(entry) > 2 else 0
+        expire_after = entry[3] if len(entry) > 3 else 0
+        cost = entry[4] if len(entry) > 4 else 0
+        return key, value, flags, expire_after, cost
 
     # ------------------------------------------------------------------
     # admin verbs
     # ------------------------------------------------------------------
     async def stats(self) -> Dict[str, Number]:
-        conn = await self._acquire()
-        try:
-            conn.writer.write(b"stats" + CRLF)
-            await conn.writer.drain()
-            out: Dict[str, Number] = {}
-            while True:
-                line = await asyncio.wait_for(conn.read_line(),
-                                              timeout=self._timeout)
-                if line == b"END":
-                    break
-                if not line.startswith(b"STAT "):
-                    raise ProtocolError(f"unexpected reply {line!r}")
-                _, name, value_text = line.decode().split(" ", 2)
-                out[name] = parse_number(value_text, "stat")
-        except BaseException:
-            # includes CancelledError — see get_map
-            self._release(conn, broken=True)
-            raise
-        self._release(conn)
-        return out
+        return await self._call(ClientSession.stats)
 
     async def digest(self, prefix: str = "") -> Dict[str, Tuple[Number,
                                                                 int]]:
@@ -377,44 +298,13 @@ class AsyncSocketClient:
 
         The cluster sweep diffs these across a key's replica holders;
         only keys whose pairs disagree cost a value transfer."""
-        command = (f"digest {prefix}" if prefix else "digest").encode()
-        conn = await self._acquire()
-        try:
-            conn.writer.write(command + CRLF)
-            await conn.writer.drain()
-            out: Dict[str, Tuple[Number, int]] = {}
-            while True:
-                line = await asyncio.wait_for(conn.read_line(),
-                                              timeout=self._timeout)
-                if line == b"END":
-                    break
-                if not line.startswith(b"DIGEST "):
-                    raise ProtocolError(f"unexpected reply {line!r}")
-                try:
-                    _, key, cost_text, crc_text = \
-                        line.decode().split(" ", 3)
-                    out[key] = (parse_number(cost_text, "cost"),
-                                int(crc_text))
-                except ValueError:
-                    raise ProtocolError(
-                        f"malformed DIGEST line: {line!r}") from None
-        except BaseException:
-            # includes CancelledError — see get_map
-            self._release(conn, broken=True)
-            raise
-        self._release(conn)
-        return out
+        return await self._call(ClientSession.digest, prefix)
 
     async def version(self) -> str:
-        return (await self._round_trip(b"version" + CRLF)).decode()
+        return await self._call(ClientSession.version)
 
     async def save(self) -> bool:
-        reply = await self._round_trip(b"save" + CRLF)
-        if reply == b"OK":
-            return True
-        if reply.startswith(b"SERVER_ERROR"):
-            return False
-        raise ProtocolError(f"unexpected reply {reply!r}")
+        return await self._call(ClientSession.save)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -438,7 +328,7 @@ class AsyncSocketClient:
         self._closed = True
         for conn in self._all:
             try:
-                conn.writer.write(b"quit" + CRLF)
+                conn.writer.write(conn.session.quit())
             except (ConnectionError, RuntimeError):
                 pass
             conn.close()

@@ -6,18 +6,13 @@ One event loop serves every connection through a callback
 :class:`~repro.twemcache.protocol.ServerSession` and *all* commands it
 completed are answered with a single batched ``transport.write``.  A
 pipelined client therefore costs one wakeup and one write per chunk of
-commands instead of one thread wakeup per request — the architectural
-win over the thread-per-connection server, which pays GIL hand-offs and
-kernel scheduling for every concurrently-active socket
-(``benchmarks/test_async_serving.py`` measures the gap at 64 pipelined
-connections).
+commands, and no connection holds a thread.
 
 Lifecycle is dual-mode:
 
 * sync — ``start()`` spins up a daemon thread running a private event
-  loop, so the asyncio server drops into any existing threaded test or
-  CLI exactly like :class:`~repro.twemcache.server.TwemcacheServer`
-  (same ``start``/``stop``/``address`` surface, context manager too).
+  loop, so the server drops into blocking tests, examples and the CLI
+  (``start``/``stop``/``address``, context manager too).
 * async — ``await serve()`` / ``await aclose()`` from a running loop.
 
 ``stop()``/``aclose()`` drain gracefully: the listener closes first, and

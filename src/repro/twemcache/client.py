@@ -6,12 +6,13 @@ the paper's section 4 (real TCP, real serialization).
 rendering, the server's sans-IO byte-stream state machine, response
 parsing — but binds it directly to an engine with no sockets: the
 deterministic stand-in for the paper's served-system measurements
-(Figure 9 replays through it).  :class:`InProcessClient` bypasses even
-the protocol for micro-benchmarks that isolate the engine's
-replacement-decision overhead.
-All three expose the same ``get``/``set``/``delete`` surface so
-:class:`~repro.twemcache.iq.IqSession` and the trace replayer work over
-any of them.
+(Figure 9 replays through it).  Both are transports over one
+:class:`~repro.twemcache.protocol.ClientSession`, as is the asyncio
+client.  :class:`InProcessClient` bypasses even the protocol for
+micro-benchmarks that isolate the engine's replacement-decision
+overhead.  All three expose the same ``get``/``set``/``delete`` surface
+so :class:`~repro.twemcache.iq.IqSession` and the trace replayer work
+over any of them.
 """
 
 from __future__ import annotations
@@ -19,66 +20,40 @@ from __future__ import annotations
 import socket
 from typing import Dict, Optional, Tuple, Union
 
-from repro.errors import ProtocolError
 from repro.twemcache.engine import TwemcacheEngine
-from repro.twemcache.protocol import (CRLF, ServerSession, chunk_get_keys,
-                                      parse_number, parse_value_header)
+from repro.twemcache.protocol import ClientSession, ServerSession, Value
 
 __all__ = ["SocketClient", "LoopbackClient", "InProcessClient"]
 
 Number = Union[int, float]
 
-
-class _Value:
-    """Minimal item facade so clients and the engine share a .value shape.
-
-    ``cost`` is only populated by cost-aware reads (the ``gets`` verb);
-    plain ``get`` replies leave it 0.
-    """
-
-    __slots__ = ("value", "flags", "cost")
-
-    def __init__(self, value: bytes, flags: int, cost: Number = 0) -> None:
-        self.value = value
-        self.flags = flags
-        self.cost = cost
+#: bytes asked of one ``recv``
+RECV_BYTES = 65536
 
 
 class SocketClient:
-    """A blocking text-protocol client for :class:`TwemcacheServer`."""
+    """A blocking text-protocol client: one session over one socket."""
 
     def __init__(self, address: Tuple[str, int], timeout: float = 10.0) -> None:
         self._sock = socket.create_connection(address, timeout=timeout)
-        self._buffer = b""
+        self._session = ClientSession()
 
-    # ------------------------------------------------------------------
-    # line/byte plumbing
-    # ------------------------------------------------------------------
-    def _read_line(self) -> bytes:
-        while CRLF not in self._buffer:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ProtocolError("server closed the connection")
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(CRLF, 1)
-        return line
+    def _call(self, request: bytes):
+        """Send one rendered request and block until its reply parsed."""
+        session = self._session
+        try:
+            self._sock.sendall(request)
+            reply = session.next_reply()
+            while reply is None:
+                session.receive(self._sock.recv(RECV_BYTES))
+                reply = session.next_reply()
+        except OSError:
+            # a half-read reply would be taken for the next request's
+            session.receive(b"")
+            raise
+        return reply
 
-    def _read_exact(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ProtocolError("server closed the connection")
-            self._buffer += chunk
-        data, self._buffer = self._buffer[:n], self._buffer[n:]
-        return data
-
-    def _send(self, payload: bytes) -> None:
-        self._sock.sendall(payload)
-
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
-    def get(self, *keys: str) -> Optional[_Value]:
+    def get(self, *keys: str) -> Optional[Value]:
         """Fetch one or more keys with a single multi-key get command.
 
         Returns the last requested key's value that hit (for the usual
@@ -91,7 +66,7 @@ class SocketClient:
                 return found[key]
         return None
 
-    def get_many(self, keys) -> Dict[str, _Value]:
+    def get_many(self, keys) -> Dict[str, Value]:
         """Multi-key fetch; returns a dict of every key that hit
         (misses are simply absent, as in the memcached protocol).
 
@@ -99,86 +74,32 @@ class SocketClient:
         under the server's fatal line bound and pipelined — every
         chunk's ``get`` is sent before the first response is read, so
         the whole batch still costs ~one round trip."""
-        chunks = chunk_get_keys(list(keys))
-        if not chunks:
-            return {}
-        self._send(b"".join(("get " + " ".join(chunk)).encode() + CRLF
-                            for chunk in chunks))
-        found: Dict[str, _Value] = {}
-        for _ in chunks:
-            self._read_values(found)
-        return found
-
-    def _read_values(self, found: Dict[str, _Value]) -> None:
-        """Consume one get response (VALUE blocks until END)."""
-        while True:
-            line = self._read_line()
-            if line == b"END":
-                return
-            if line.startswith(b"VALUE "):
-                got_key, flags, nbytes, cost = parse_value_header(line)
-                data = self._read_exact(nbytes)
-                trailer = self._read_exact(2)
-                if trailer != CRLF:
-                    raise ProtocolError("missing CRLF after data block")
-                found[got_key] = _Value(data, flags, cost)
-            elif line.startswith(b"CLIENT_ERROR"):
-                raise ProtocolError(line.decode())
-            else:
-                raise ProtocolError(f"unexpected reply {line!r}")
+        return self._call(self._session.get(list(keys)))
 
     def set(self, key: str, value: bytes, flags: int = 0,
             expire_after: float = 0, cost: Number = 0) -> bool:
-        header = f"set {key} {flags} {expire_after} {len(value)} {cost}"
-        self._send(header.encode() + CRLF + value + CRLF)
-        reply = self._read_line()
-        if reply == b"STORED":
-            return True
-        if reply == b"NOT_STORED":
-            return False
-        raise ProtocolError(f"unexpected reply {reply!r}")
+        return self._call(
+            self._session.set(key, value, flags, expire_after, cost))
 
     def delete(self, key: str) -> bool:
-        self._send(f"delete {key}".encode() + CRLF)
-        reply = self._read_line()
-        if reply == b"DELETED":
-            return True
-        if reply == b"NOT_FOUND":
-            return False
-        raise ProtocolError(f"unexpected reply {reply!r}")
+        return self._call(self._session.delete(key))
 
     def stats(self) -> Dict[str, Number]:
-        self._send(b"stats" + CRLF)
-        out: Dict[str, Number] = {}
-        while True:
-            line = self._read_line()
-            if line == b"END":
-                return out
-            if not line.startswith(b"STAT "):
-                raise ProtocolError(f"unexpected reply {line!r}")
-            _, name, value_text = line.decode().split(" ", 2)
-            out[name] = parse_number(value_text, "stat")
+        return self._call(self._session.stats())
 
     def version(self) -> str:
-        self._send(b"version" + CRLF)
-        return self._read_line().decode()
+        return self._call(self._session.version())
 
     def save(self) -> bool:
         """Ask the server to snapshot to its configured path.
 
         False when the server refuses (no path configured / IO error).
         """
-        self._send(b"save" + CRLF)
-        reply = self._read_line()
-        if reply == b"OK":
-            return True
-        if reply.startswith(b"SERVER_ERROR"):
-            return False
-        raise ProtocolError(f"unexpected reply {reply!r}")
+        return self._call(self._session.save())
 
     def close(self) -> None:
         try:
-            self._send(b"quit" + CRLF)
+            self._sock.sendall(self._session.quit())
         except OSError:  # pragma: no cover - already closed
             pass
         self._sock.close()
@@ -204,46 +125,35 @@ class LoopbackClient:
     """
 
     def __init__(self, engine: TwemcacheEngine) -> None:
-        self._session = ServerSession(engine)
+        self._server = ServerSession(engine)
+        self._session = ClientSession()
 
-    def get(self, key: str) -> Optional[_Value]:
-        data, _ = self._session.receive(
-            b"get " + key.encode("utf-8") + CRLF)
-        if data.startswith(b"END"):
-            return None
-        header_end = data.index(CRLF)
-        _key, flags, nbytes, cost = parse_value_header(data[:header_end])
-        start = header_end + 2
-        return _Value(bytes(data[start:start + nbytes]), flags, cost)
+    def _call(self, request: bytes):
+        # the server answers each whole request at once; an empty
+        # answer means it has closed, as a socket's empty read would
+        data, close = self._server.receive(request)
+        session = self._session
+        session.receive(data)
+        if close:
+            session.receive(b"")
+        return session.next_reply()
 
-    def get_many(self, keys) -> Dict[str, _Value]:
-        found: Dict[str, _Value] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not None:
-                found[key] = value
-        return found
+    def get(self, key: str) -> Optional[Value]:
+        return self._call(self._session.get((key,))).get(key)
+
+    def get_many(self, keys) -> Dict[str, Value]:
+        return self._call(self._session.get(list(keys)))
 
     def set(self, key: str, value: bytes, flags: int = 0,
             expire_after: float = 0, cost: Number = 0) -> bool:
-        header = f"set {key} {flags} {expire_after} {len(value)} {cost}"
-        data, _ = self._session.receive(
-            header.encode("utf-8") + CRLF + value + CRLF)
-        return data == b"STORED" + CRLF
+        return self._call(
+            self._session.set(key, value, flags, expire_after, cost))
 
     def delete(self, key: str) -> bool:
-        data, _ = self._session.receive(
-            b"delete " + key.encode("utf-8") + CRLF)
-        return data == b"DELETED" + CRLF
+        return self._call(self._session.delete(key))
 
     def stats(self) -> Dict[str, Number]:
-        data, _ = self._session.receive(b"stats" + CRLF)
-        out: Dict[str, Number] = {}
-        for line in data.split(CRLF):
-            if line.startswith(b"STAT "):
-                _stat, name, value = line.decode("utf-8").split(" ", 2)
-                out[name] = parse_number(value, name)
-        return out
+        return self._call(self._session.stats())
 
 
 class InProcessClient:
@@ -252,18 +162,18 @@ class InProcessClient:
     def __init__(self, engine: TwemcacheEngine) -> None:
         self._engine = engine
 
-    def get(self, key: str) -> Optional[_Value]:
+    def get(self, key: str) -> Optional[Value]:
         item = self._engine.get(key)
         if item is None:
             return None
-        return _Value(item.value, item.flags)
+        return Value(item.value, item.flags)
 
-    def get_many(self, keys) -> Dict[str, _Value]:
-        found: Dict[str, _Value] = {}
+    def get_many(self, keys) -> Dict[str, Value]:
+        found: Dict[str, Value] = {}
         for key in keys:
             item = self._engine.get(key)
             if item is not None:
-                found[key] = _Value(item.value, item.flags)
+                found[key] = Value(item.value, item.flags)
         return found
 
     def set(self, key: str, value: bytes, flags: int = 0,

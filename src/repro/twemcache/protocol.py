@@ -49,24 +49,29 @@ as sans-IO pieces shared by every transport:
 * :func:`execute_command` — one :class:`Command` against an engine duck
   type, returning the rendered :class:`Reply` bytes.
 * :class:`ServerSession` — the two composed: ``receive(data)`` returns
-  ``(response_bytes, close)``.  The threaded and asyncio servers are
-  both thin transports over this one object, which is what makes their
-  responses byte-identical by construction (property-tested in
-  ``tests/test_serving_parity.py``).
+  ``(response_bytes, close)``.  The asyncio server is a thin transport
+  over this one object, and ``LoopbackClient`` drives it with no socket
+  at all; ``tests/test_serving_parity.py`` property-tests that the two
+  answer byte for byte alike.
+* :class:`ClientSession` — the mirror image for clients: render requests
+  to bytes, feed reply bytes in, pop parsed replies out.  Every client
+  (blocking, loopback, pooled asyncio) is a transport over it, so none
+  of them parses a reply line itself.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Deque, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ProtocolError, ReproError
 
 __all__ = ["Request", "CRLF", "parse_command_line", "render_value",
            "render_stats", "render_digest", "parse_number",
-           "parse_value_header", "chunk_get_keys", "Command", "Reply",
-           "ProtocolSession", "ServerSession", "execute_command",
-           "MAX_LINE_BYTES"]
+           "chunk_get_keys", "Command", "Reply", "ProtocolSession",
+           "ServerSession", "execute_command", "MAX_LINE_BYTES", "Value",
+           "ClientSession"]
 
 CRLF = b"\r\n"
 
@@ -219,8 +224,8 @@ def render_value(key: str, flags: int, value: bytes,
 def parse_value_header(line: bytes) -> Tuple[str, int, int, Number]:
     """Parse one ``VALUE <key> <flags> <bytes> [<cost>]`` reply line into
     ``(key, flags, nbytes, cost)`` — the client-side half of the grammar,
-    shared by the sync and async clients.  Plain ``get`` replies carry no
-    cost token; it reads as 0."""
+    used by :class:`ClientSession`.  Plain ``get`` replies carry no cost
+    token; it reads as 0."""
     parts = line.decode().split()
     if len(parts) not in (4, 5) or parts[0] != "VALUE":
         raise ProtocolError(f"malformed VALUE line: {line!r}")
@@ -512,3 +517,240 @@ class ServerSession:
                 close = True
                 break
         return bytes(out), close
+
+
+# ----------------------------------------------------------------------
+# sans-IO client core
+# ----------------------------------------------------------------------
+
+class Value:
+    """One value a get returned.
+
+    ``cost`` is only populated by cost-aware reads (the ``gets`` verb);
+    plain ``get`` replies leave it 0.
+    """
+
+    __slots__ = ("value", "flags", "cost")
+
+    def __init__(self, value: bytes, flags: int, cost: Number = 0) -> None:
+        self.value = value
+        self.flags = flags
+        self.cost = cost
+
+
+#: the reply shapes a :class:`ClientSession` can be waiting for
+_VALUES, _STORED, _DELETED, _STATS, _DIGEST, _VERSION, _SAVED = range(7)
+
+
+def _unexpected(line: bytes) -> ProtocolError:
+    if line.startswith((b"CLIENT_ERROR", b"SERVER_ERROR")):
+        return ProtocolError(line.decode("utf-8", "replace"))
+    return ProtocolError(f"unexpected reply {line!r}")
+
+
+class ClientSession:
+    """Client-side byte-stream state machine (sans-IO), the mirror of
+    :class:`ServerSession`.
+
+    Each request method renders one request to bytes and queues the
+    reply it expects.  The transport sends the bytes, feeds whatever it
+    reads to :meth:`receive` (``b""`` once the peer has closed) and pops
+    replies with :meth:`next_reply`, which returns None until the oldest
+    reply is complete — wherever the chunk boundaries fell.  Replies:
+
+    * ``get`` → ``{key: Value}`` of every hit, one reply even when the
+      keys span several chunked command lines;
+    * ``set`` → True (``STORED``) / False (``NOT_STORED``); ``delete`` →
+      True (``DELETED``) / False (``NOT_FOUND``); ``save`` → True
+      (``OK``) / False (``SERVER_ERROR``);
+    * ``stats`` → ``{name: number}``; ``digest`` → ``{key: (cost, crc)}``;
+      ``version`` → the ``VERSION ...`` line.
+
+    A ``CLIENT_ERROR``, a line the pending request cannot produce, or the
+    peer closing mid-reply raises :class:`ProtocolError`, and the session
+    stays closed afterwards: the stream can no longer be trusted to be
+    reply-aligned (the server closes on the same malformed frames), so
+    every later request raises too.
+    """
+
+    __slots__ = ("_buffer", "_pending", "_eof", "_closed", "_broken")
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        # [kind, replies still to come, accumulator] per request
+        self._pending: Deque[list] = deque()
+        self._eof = False
+        self._closed: Optional[str] = None    # why requests are refused
+        self._broken = False
+
+    @property
+    def pending(self) -> int:
+        """Requests whose reply has not been popped yet."""
+        return len(self._pending)
+
+    # ------------------------------------------------------------------
+    # requests
+    # ------------------------------------------------------------------
+    def _request(self, data: bytes, kind: int, parts: int = 1,
+                 into=None) -> bytes:
+        """Queue the reply ``data`` asks for; return ``data``."""
+        if self._closed is not None:
+            raise ProtocolError(f"connection closed: {self._closed}")
+        self._pending.append([kind, parts, into])
+        return data
+
+    def get(self, keys, with_cost: bool = False,
+            max_keys: Optional[int] = None) -> bytes:
+        """``get`` (``gets`` with ``with_cost``) of every key, chunked to
+        stay under the server's line bound (see :func:`chunk_get_keys`)."""
+        chunks = chunk_get_keys(keys, max_keys)
+        verb = "gets " if with_cost else "get "
+        return self._request(
+            b"".join((verb + " ".join(chunk)).encode() + CRLF
+                     for chunk in chunks), _VALUES, len(chunks), {})
+
+    def set(self, key: str, value: bytes, flags: int = 0,
+            expire_after: float = 0, cost: Number = 0) -> bytes:
+        header = f"set {key} {flags} {expire_after} {len(value)} {cost}"
+        return self._request(header.encode() + CRLF + value + CRLF, _STORED)
+
+    def delete(self, key: str) -> bytes:
+        return self._request(f"delete {key}".encode() + CRLF, _DELETED)
+
+    def stats(self) -> bytes:
+        return self._request(b"stats" + CRLF, _STATS, into={})
+
+    def digest(self, prefix: str = "") -> bytes:
+        command = f"digest {prefix}" if prefix else "digest"
+        return self._request(command.encode() + CRLF, _DIGEST, into={})
+
+    def version(self) -> bytes:
+        return self._request(b"version" + CRLF, _VERSION)
+
+    def save(self) -> bytes:
+        return self._request(b"save" + CRLF, _SAVED)
+
+    def quit(self) -> bytes:
+        """No reply, and no request after it; replies already pending
+        can still be read."""
+        if self._closed is None:
+            self._closed = "quit was sent"
+        return b"quit" + CRLF
+
+    # ------------------------------------------------------------------
+    # replies
+    # ------------------------------------------------------------------
+    def receive(self, data: bytes) -> None:
+        """Feed received bytes; ``b""`` means the peer has closed."""
+        if data:
+            self._buffer += data
+        else:
+            self._eof = True
+            if self._closed is None:
+                self._closed = "server closed the connection"
+
+    def next_reply(self):
+        """Pop the oldest pending reply, or None while it is incomplete."""
+        if self._broken:
+            raise ProtocolError(f"connection closed: {self._closed}")
+        if not self._pending:
+            return None
+        entry = self._pending[0]
+        try:
+            reply = self._parse(entry)
+            if reply is None and self._eof:
+                raise ProtocolError("server closed the connection")
+        except ProtocolError as exc:
+            self._broken = True
+            self._closed = str(exc)
+            raise
+        if reply is not None:
+            self._pending.popleft()
+        return reply
+
+    def _line(self) -> Optional[bytes]:
+        buffer = self._buffer
+        end = buffer.find(CRLF)
+        if end < 0:
+            return None
+        line = bytes(buffer[:end])
+        del buffer[:end + 2]
+        return line
+
+    def _parse(self, entry: list):
+        kind = entry[0]
+        if kind == _VALUES:
+            return self._values(entry)
+        if kind == _STATS or kind == _DIGEST:
+            return self._listing(entry)
+        line = self._line()
+        if line is None:
+            return None
+        if kind == _STORED:
+            if line == b"STORED":
+                return True
+            if line == b"NOT_STORED":
+                return False
+        elif kind == _DELETED:
+            if line == b"DELETED":
+                return True
+            if line == b"NOT_FOUND":
+                return False
+        elif kind == _SAVED:
+            if line == b"OK":
+                return True
+            if line.startswith(b"SERVER_ERROR"):
+                return False
+        elif line.startswith(b"VERSION "):
+            return line.decode()
+        raise _unexpected(line)
+
+    def _values(self, entry: list):
+        """VALUE blocks until as many ``END`` lines as command lines; a
+        block whose data has not fully arrived stays in the buffer."""
+        buffer = self._buffer
+        found = entry[2]
+        while entry[1]:
+            end = buffer.find(CRLF)
+            if end < 0:
+                return None
+            if buffer.startswith(b"VALUE "):
+                key, flags, nbytes, cost = parse_value_header(
+                    bytes(buffer[:end]))
+                start = end + 2
+                stop = start + nbytes
+                if len(buffer) < stop + 2:
+                    return None
+                if buffer[stop:stop + 2] != CRLF:
+                    raise ProtocolError("missing CRLF after data block")
+                found[key] = Value(bytes(buffer[start:stop]), flags, cost)
+                del buffer[:stop + 2]
+            elif end == 3 and buffer.startswith(b"END"):
+                del buffer[:5]
+                entry[1] -= 1
+            else:
+                raise _unexpected(bytes(buffer[:end]))
+        return found
+
+    def _listing(self, entry: list):
+        """``STAT``/``DIGEST`` lines until ``END``."""
+        found = entry[2]
+        prefix = b"STAT " if entry[0] == _STATS else b"DIGEST "
+        while True:
+            line = self._line()
+            if line is None:
+                return None
+            if line == b"END":
+                return found
+            if not line.startswith(prefix):
+                raise _unexpected(line)
+            try:
+                if entry[0] == _STATS:
+                    _, name, text = line.decode().split(" ", 2)
+                    found[name] = parse_number(text, "stat")
+                else:
+                    _, key, cost, crc = line.decode().split(" ", 3)
+                    found[key] = (parse_number(cost, "cost"), int(crc))
+            except ValueError:
+                raise ProtocolError(
+                    f"malformed reply line: {line!r}") from None

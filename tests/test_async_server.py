@@ -202,10 +202,9 @@ class TestLargeBatches:
                     assert len(via_many) == 800
 
         run(main())
-        # and the sync client, over the threaded server
-        from repro.twemcache import TwemcacheServer
+        # and the sync client
         engine = fresh_engine()
-        with TwemcacheServer(engine) as server:
+        with AsyncTwemcacheServer(engine) as server:
             with SocketClient(server.address) as client:
                 for key in long_keys:
                     client.set(key, b"v")

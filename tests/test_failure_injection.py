@@ -6,6 +6,7 @@ collaborators misbehave; these tests break things on purpose.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.persistence import (
     snapshot_generations,
 )
 from repro.tiering import DiskTier
-from repro.twemcache import SocketClient, TwemcacheEngine, TwemcacheServer
+from repro.twemcache import AsyncTwemcacheServer, SocketClient, TwemcacheEngine
 
 
 class TestMisbehavingServer:
@@ -73,9 +74,26 @@ class TestMisbehavingServer:
         finally:
             listener.close()
 
+    def test_timed_out_reply_is_never_read_as_the_next_one(self):
+        engine = TwemcacheEngine(1 << 20, slab_size=1 << 16)
+        engine.set("stale", b"old")
+        engine.set("fresh", b"new")
+        plan = FaultPlan([Fault(kind="latency", seam="write", at=0,
+                                delay=0.5)])
+        with AsyncTwemcacheServer(engine, fault_plan=plan) as server:
+            client = SocketClient(server.address, timeout=0.2)
+            try:
+                with pytest.raises(TimeoutError):
+                    client.get("stale")
+                time.sleep(0.5)                 # the late reply lands now
+                with pytest.raises(ProtocolError, match="connection closed"):
+                    client.get("fresh")
+            finally:
+                client.close()
+
     def test_server_survives_client_disconnect_mid_set(self):
         engine = TwemcacheEngine(1 << 20, slab_size=1 << 16)
-        with TwemcacheServer(engine) as server:
+        with AsyncTwemcacheServer(engine) as server:
             raw = socket.create_connection(server.address)
             raw.sendall(b"set k 0 0 100\r\npartial")   # missing bytes
             raw.close()

@@ -12,6 +12,7 @@ lives in the ``cluster-chaos`` experiment (``benchmarks/test_chaos.py``).
 
 import asyncio
 import errno
+import time
 import zlib
 
 import pytest
@@ -282,6 +283,79 @@ class TestTransportFaults:
                     await client.close()
 
         run(main())
+
+    def test_stalled_batch_waits_one_timeout_not_one_per_shard(self):
+        """A batch's shards run concurrently, each under the client's
+        one timeout: a stalled node holds ``get_many`` about as long as
+        a single ``get``, not ``pool_size`` times longer."""
+        async def main():
+            engine = fresh_engine()
+            plan = FaultPlan([Fault(kind="stall", seam="write", at=0,
+                                    count=2, delay=30.0)])
+            server = AsyncTwemcacheServer(engine, fault_plan=plan)
+            async with server:
+                client = AsyncSocketClient(server.address, pool_size=2,
+                                           timeout=1.0)
+                try:
+                    started = time.perf_counter()
+                    with pytest.raises(asyncio.TimeoutError):
+                        await client.get_many([f"k{i}" for i in range(8)])
+                    assert time.perf_counter() - started < 1.8
+                    assert client._available._value == 2
+                    assert client._idle == []
+                finally:
+                    await client.close()
+
+        run(main())
+
+    def test_read_reset_discards_the_connection_and_redials(self):
+        """The read seam fires once per expected reply: a multi-value
+        reply long enough to span several socket reads is still one
+        opportunity, so the reset lands on exactly the third call."""
+        keys = [f"k{i}" for i in range(8)]
+
+        async def main():
+            engine = fresh_engine()
+            for i, key in enumerate(keys):
+                engine.set(key, bytes([65 + i]) * 30_000, cost=i)
+            plan = FaultPlan([Fault(kind="reset", seam="read", at=2)])
+            async with AsyncTwemcacheServer(engine) as server:
+                client = AsyncSocketClient(server.address, pool_size=1,
+                                           timeout=5, fault_plan=plan)
+                try:
+                    assert len(await client.get_map(keys)) == 8   # reply 0
+                    assert await client.set("n", b"v")            # reply 1
+                    with pytest.raises(ConnectionResetError):
+                        await client.get_map(keys)                # reply 2
+                    assert client._available._value == 1
+                    assert client._idle == []
+                    assert len(await client.get_map(keys)) == 8
+                finally:
+                    await client.close()
+                return server.connections_served
+
+        assert run(main()) == 2          # the call after the reset re-dialed
+
+    def test_read_stall_times_out_with_the_same_pool_hygiene(self):
+        async def main():
+            engine = fresh_engine()
+            engine.set("k", b"correct", cost=3)
+            plan = FaultPlan([Fault(kind="stall", seam="read", at=0,
+                                    delay=30.0)])
+            async with AsyncTwemcacheServer(engine) as server:
+                client = AsyncSocketClient(server.address, pool_size=1,
+                                           timeout=0.3, fault_plan=plan)
+                try:
+                    with pytest.raises(asyncio.TimeoutError):
+                        await client.get("k")
+                    assert client._available._value == 1
+                    assert client._idle == []
+                    assert (await client.get("k")).value == b"correct"
+                finally:
+                    await client.close()
+                return server.connections_served
+
+        assert run(main()) == 2
 
 
 # ----------------------------------------------------------------------

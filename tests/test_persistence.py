@@ -727,19 +727,19 @@ class TestEnginePersistence:
         assert engine.stats()["snapshots_taken"] >= 1
 
     def test_server_save_verb(self, tmp_path):
-        from repro.twemcache import SocketClient, TwemcacheServer
+        from repro.twemcache import AsyncTwemcacheServer, SocketClient
         engine = self._engine(tmp_path)
-        with TwemcacheServer(engine) as server:
+        with AsyncTwemcacheServer(engine) as server:
             with SocketClient(server.address) as client:
                 assert client.set("k", b"value")
                 assert client.save() is True
         assert (tmp_path / "engine.snap").exists()
 
     def test_server_save_without_path_reports_error(self):
-        from repro.twemcache import (SocketClient, TwemcacheEngine,
-                                     TwemcacheServer)
+        from repro.twemcache import (AsyncTwemcacheServer, SocketClient,
+                                     TwemcacheEngine)
         engine = TwemcacheEngine(1 << 20, slab_size=1 << 16)
-        with TwemcacheServer(engine) as server:
+        with AsyncTwemcacheServer(engine) as server:
             with SocketClient(server.address) as client:
                 assert client.save() is False
 

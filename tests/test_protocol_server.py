@@ -1,16 +1,18 @@
 """Protocol parsing, TCP server/client integration, IQ session tests."""
 
+import socket
 import threading
 
 import pytest
 
 from repro.errors import ProtocolError
 from repro.twemcache import (
+    AsyncTwemcacheServer,
     InProcessClient,
     IqSession,
+    LoopbackClient,
     SocketClient,
     TwemcacheEngine,
-    TwemcacheServer,
     VirtualClock,
     parse_command_line,
     replay_trace,
@@ -62,9 +64,35 @@ class TestProtocolParsing:
 @pytest.fixture()
 def server():
     engine = TwemcacheEngine(2 << 20, eviction="camp", slab_size=1 << 16)
-    srv = TwemcacheServer(engine).start()
+    srv = AsyncTwemcacheServer(engine).start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture(params=["loopback", "socket"])
+def any_client(request, server):
+    if request.param == "loopback":
+        yield LoopbackClient(server.engine)
+    else:
+        with SocketClient(server.address) as client:
+            yield client
+
+
+class TestClientErrors:
+    """Every client parses replies through one ``ClientSession``, so a
+    rejected request and a closed session surface alike.  The loopback
+    client used to return False for the rejected set, then raise
+    ``ValueError`` on the next get and return ``{}`` from stats."""
+
+    def test_rejected_set_raises_and_the_session_stays_closed(
+            self, any_client):
+        assert any_client.set("k", b"v", cost=3)
+        with pytest.raises(ProtocolError, match="CLIENT_ERROR"):
+            any_client.set("a b", b"v")
+        with pytest.raises(ProtocolError, match="connection closed"):
+            any_client.get("k")
+        with pytest.raises(ProtocolError, match="connection closed"):
+            any_client.stats()
 
 
 class TestServerIntegration:
@@ -121,12 +149,17 @@ class TestServerIntegration:
         server.engine.check_consistency()
 
     def test_protocol_error_reported_not_fatal(self, server):
-        with SocketClient(server.address) as client:
-            client._send(b"bogus command\r\n")
-            line = client._read_line()
-            assert line.startswith(b"CLIENT_ERROR")
-            # the connection still works afterwards
-            assert client.set("still", b"alive")
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(b"bogus command\r\nset still 0 0 5\r\nalive\r\n")
+            received = b""
+            while received.count(b"\r\n") < 2:
+                chunk = sock.recv(100)
+                assert chunk, "server closed after a well-framed error"
+                received += chunk
+        error, stored = received.split(b"\r\n")[:2]
+        assert error.startswith(b"CLIENT_ERROR")
+        # the connection still works afterwards
+        assert stored == b"STORED"
 
     def test_multi_key_get_and_get_many(self, server):
         """Regression: the sync client used to send only one key even
@@ -149,11 +182,9 @@ class TestServerIntegration:
 
 
 class TestFramingRobustness:
-    """The threaded server must close, not desync, on broken frames.
-
-    Before the sans-IO rewrite a short ``rfile.read(nbytes)`` or a bad
-    trailer left the handler reinterpreting payload bytes as commands.
-    """
+    """The server must close, not desync, on broken frames: a short
+    body or a bad trailer must never leave payload bytes reinterpreted
+    as commands."""
 
     def test_bad_trailer_replies_error_then_closes(self, server):
         import socket as socket_module

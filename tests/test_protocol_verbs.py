@@ -1,12 +1,14 @@
 """The extended memcached verb set: add/replace/incr/decr/touch/flush_all."""
 
+import socket
+
 import pytest
 
 from repro.errors import ProtocolError
 from repro.twemcache import (
+    AsyncTwemcacheServer,
     SocketClient,
     TwemcacheEngine,
-    TwemcacheServer,
     VirtualClock,
     parse_command_line,
 )
@@ -124,40 +126,50 @@ class TestEngineVerbs:
 
 @pytest.fixture()
 def server():
-    srv = TwemcacheServer(engine(eviction="camp")).start()
+    srv = AsyncTwemcacheServer(engine(eviction="camp")).start()
     yield srv
     srv.stop()
 
 
+@pytest.fixture()
+def wire(server):
+    """Send one raw request, return its one-line reply (no CRLF) — for
+    the verbs the clients do not speak."""
+    sock = socket.create_connection(server.address, timeout=10)
+
+    def ask(request: bytes) -> bytes:
+        sock.sendall(request)
+        reply = b""
+        while not reply.endswith(b"\r\n"):
+            chunk = sock.recv(100)
+            assert chunk, "server closed the connection"
+            reply += chunk
+        return reply[:-2]
+
+    yield ask
+    sock.close()
+
+
 class TestServerVerbs:
-    def test_add_replace_over_wire(self, server):
+    def test_add_replace_over_wire(self, server, wire):
+        assert wire(b"add k 0 0 3\r\nabc\r\n") == b"STORED"
+        assert wire(b"add k 0 0 3\r\nxyz\r\n") == b"NOT_STORED"
+        assert wire(b"replace k 0 0 3\r\nxyz\r\n") == b"STORED"
         with SocketClient(server.address) as client:
-            client._send(b"add k 0 0 3\r\nabc\r\n")
-            assert client._read_line() == b"STORED"
-            client._send(b"add k 0 0 3\r\nxyz\r\n")
-            assert client._read_line() == b"NOT_STORED"
-            client._send(b"replace k 0 0 3\r\nxyz\r\n")
-            assert client._read_line() == b"STORED"
             assert client.get("k").value == b"xyz"
 
-    def test_incr_over_wire(self, server):
+    def test_incr_over_wire(self, server, wire):
         with SocketClient(server.address) as client:
             client.set("n", b"41")
-            client._send(b"incr n 1\r\n")
-            assert client._read_line() == b"42"
-            client._send(b"incr ghost 1\r\n")
-            assert client._read_line() == b"NOT_FOUND"
+            assert wire(b"incr n 1\r\n") == b"42"
+            assert wire(b"incr ghost 1\r\n") == b"NOT_FOUND"
             client.set("text", b"abc")
-            client._send(b"incr text 1\r\n")
-            assert client._read_line().startswith(b"CLIENT_ERROR")
+            assert wire(b"incr text 1\r\n").startswith(b"CLIENT_ERROR")
 
-    def test_touch_and_flush_over_wire(self, server):
+    def test_touch_and_flush_over_wire(self, server, wire):
         with SocketClient(server.address) as client:
             client.set("k", b"v")
-            client._send(b"touch k 60\r\n")
-            assert client._read_line() == b"TOUCHED"
-            client._send(b"touch ghost 60\r\n")
-            assert client._read_line() == b"NOT_FOUND"
-            client._send(b"flush_all\r\n")
-            assert client._read_line() == b"OK"
+            assert wire(b"touch k 60\r\n") == b"TOUCHED"
+            assert wire(b"touch ghost 60\r\n") == b"NOT_FOUND"
+            assert wire(b"flush_all\r\n") == b"OK"
             assert client.get("k") is None

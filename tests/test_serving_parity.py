@@ -1,28 +1,35 @@
-"""Sync/async server parity over the shared sans-IO protocol core.
+"""Serving parity over the shared sans-IO protocol core.
 
-Both servers are thin transports over one
-:class:`~repro.twemcache.protocol.ServerSession`, so for any command
-script they must produce byte-identical response streams *and* identical
-engine state evolution (same eviction decisions, same counters).  The
-property tests here generate command scripts with hypothesis and drive
-them through:
+The asyncio server is a thin transport over one
+:class:`~repro.twemcache.protocol.ServerSession`, and every client over
+one :class:`~repro.twemcache.protocol.ClientSession`, so for any command
+script the served response stream must be byte-identical to the
+in-process one, with identical engine state evolution (same eviction
+decisions, same counters).  The property tests here generate scripts
+with hypothesis and drive them through:
 
-* two in-process sessions under different chunk splits (the sans-IO
-  machine must not care where ``recv`` boundaries fall), and
-* the real :class:`TwemcacheServer` (threaded) and
-  :class:`AsyncTwemcacheServer` (asyncio) over TCP.
+* two in-process server sessions under different chunk splits (the
+  sans-IO machine must not care where ``recv`` boundaries fall);
+* an in-process :class:`ServerSession` and the real
+  :class:`AsyncTwemcacheServer` over TCP;
+* two client sessions fed one reply stream under different chunk
+  splits (the same replies must come out).
 """
 
+import random
 import socket
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ProtocolError
 from repro.twemcache import (
     AsyncTwemcacheServer,
+    ClientSession,
     ServerSession,
     TwemcacheEngine,
-    TwemcacheServer,
+    Value,
 )
 from repro.twemcache.protocol import CRLF
 
@@ -82,6 +89,16 @@ scripts = st.lists(operations, min_size=1, max_size=40).map(
     lambda ops: b"".join(_render(op) for op in ops))
 
 
+def _split(data: bytes, rng: random.Random):
+    pieces = []
+    position = 0
+    while position < len(data):
+        step = rng.randint(1, 13)
+        pieces.append(data[position:position + step])
+        position += step
+    return pieces
+
+
 # ----------------------------------------------------------------------
 # sans-IO chunking invariance
 # ----------------------------------------------------------------------
@@ -90,9 +107,6 @@ scripts = st.lists(operations, min_size=1, max_size=40).map(
 def test_session_output_is_chunking_invariant(script, seed):
     """Arbitrary recv boundaries — mid-line, mid-payload — must not
     change a single response byte or any engine decision."""
-    import random
-    rng = random.Random(seed)
-
     def run(chunks):
         engine = fresh_engine()
         session = ServerSession(engine)
@@ -104,13 +118,7 @@ def test_session_output_is_chunking_invariant(script, seed):
         return bytes(out), engine
 
     whole, engine_a = run([script])
-    pieces = []
-    position = 0
-    while position < len(script):
-        step = rng.randint(1, 13)
-        pieces.append(script[position:position + step])
-        position += step
-    split, engine_b = run(pieces)
+    split, engine_b = run(_split(script, random.Random(seed)))
 
     assert whole == split
     assert engine_a.stats() == engine_b.stats()
@@ -118,37 +126,40 @@ def test_session_output_is_chunking_invariant(script, seed):
 
 
 # ----------------------------------------------------------------------
-# threaded vs asyncio over real sockets
+# in-process session vs the asyncio server over real sockets
 # ----------------------------------------------------------------------
-def _drive(server, script: bytes) -> bytes:
-    """Send the whole pipelined script plus quit; read the response
-    stream to EOF."""
-    with socket.create_connection(server.address, timeout=10) as sock:
-        sock.sendall(script + b"quit" + CRLF)
-        received = bytearray()
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return bytes(received)
-            received += chunk
-
-
-def _run_script_through(server_cls, script: bytes):
+def _in_process(script: bytes):
     engine = fresh_engine()
-    with server_cls(engine) as server:
-        response = _drive(server, script)
+    response, close = ServerSession(engine).receive(script + b"quit" + CRLF)
+    assert close
     return response, engine.stats(), sorted(engine._items)
+
+
+def _served(script: bytes):
+    """Send the whole pipelined script plus quit over TCP; read the
+    response stream to EOF."""
+    engine = fresh_engine()
+    with AsyncTwemcacheServer(engine) as server:
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(script + b"quit" + CRLF)
+            received = bytearray()
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+    return bytes(received), engine.stats(), sorted(engine._items)
 
 
 @given(script=scripts)
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_threaded_and_async_servers_are_byte_identical(script):
-    threaded = _run_script_through(TwemcacheServer, script)
-    asynced = _run_script_through(AsyncTwemcacheServer, script)
-    assert threaded[0] == asynced[0]          # byte-identical responses
-    assert threaded[1] == asynced[1]          # identical counters/evictions
-    assert threaded[2] == asynced[2]          # identical residency
+def test_session_and_async_server_are_byte_identical(script):
+    local = _in_process(script)
+    served = _served(script)
+    assert local[0] == served[0]          # byte-identical responses
+    assert local[1] == served[1]          # identical counters/evictions
+    assert local[2] == served[2]          # identical residency
 
 
 def test_parity_includes_stats_and_admin_verbs():
@@ -170,8 +181,105 @@ def test_parity_includes_stats_and_admin_verbs():
         b"flush_all" + CRLF,
         b"stats" + CRLF,
     ])
-    threaded = _run_script_through(TwemcacheServer, script)
-    asynced = _run_script_through(AsyncTwemcacheServer, script)
-    assert threaded == asynced
-    assert b"VERSION repro-camp/1.0" in threaded[0]
-    assert b"STAT items" in threaded[0]
+    local = _in_process(script)
+    assert local == _served(script)
+    assert b"VERSION repro-camp/1.0" in local[0]
+    assert b"STAT items" in local[0]
+
+
+# ----------------------------------------------------------------------
+# the client session
+# ----------------------------------------------------------------------
+client_operations = st.one_of(
+    st.tuples(st.just("get"), st.lists(keys, min_size=1, max_size=4),
+              st.booleans()),
+    st.tuples(st.just("set"), keys, values, st.integers(0, 7),
+              st.integers(0, 50)),
+    st.tuples(st.just("delete"), keys),
+    st.tuples(st.sampled_from(["stats", "digest", "version", "save"])),
+)
+
+
+def _request(session: ClientSession, op) -> bytes:
+    kind = op[0]
+    if kind == "get":
+        return session.get(op[1], with_cost=op[2])
+    if kind == "set":
+        return session.set(op[1], op[2], flags=op[3], cost=op[4])
+    if kind == "delete":
+        return session.delete(op[1])
+    return getattr(session, kind)()
+
+
+def _plain(reply):
+    """Replies with ``Value``s made comparable."""
+    if isinstance(reply, dict):
+        return {key: (item.value, item.flags, item.cost)
+                if isinstance(item, Value) else item
+                for key, item in reply.items()}
+    return reply
+
+
+@given(ops=st.lists(client_operations, min_size=1, max_size=30),
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_client_session_replies_are_chunking_invariant(ops, seed):
+    """A reply stream fed whole or in arbitrary pieces — mid-line,
+    mid-value — must parse to the same replies, one per request."""
+    script = b"".join(_request(ClientSession(), op) for op in ops)
+    stream, _ = ServerSession(fresh_engine()).receive(script)
+
+    def parse(chunks):
+        session = ClientSession()
+        for op in ops:
+            _request(session, op)
+        replies = []
+        for chunk in chunks:
+            session.receive(chunk)
+            reply = session.next_reply()
+            while reply is not None:
+                replies.append(_plain(reply))
+                reply = session.next_reply()
+        assert session.pending == 0
+        return replies
+
+    whole = parse([stream])
+    assert len(whole) == len(ops)
+    assert parse(_split(stream, random.Random(seed))) == whole
+
+
+class TestClientSessionErrors:
+    def test_peer_closing_mid_reply_raises_then_refuses(self):
+        session = ClientSession()
+        session.get(["k"])
+        session.receive(b"VALUE k 0 5" + CRLF + b"ab")
+        assert session.next_reply() is None           # waits for the rest
+        session.receive(b"")
+        with pytest.raises(ProtocolError, match="closed"):
+            session.next_reply()
+        with pytest.raises(ProtocolError, match="connection closed"):
+            session.get(["k"])
+
+    @pytest.mark.parametrize("reply", [
+        b"BANANAS", b"CLIENT_ERROR bad command line format",
+        b"VALUE k 0" + CRLF + b"END", b"STAT items x"])
+    def test_a_reply_the_request_cannot_produce_raises(self, reply):
+        session = ClientSession()
+        if reply.startswith(b"STAT"):
+            session.stats()
+        else:
+            session.get(["k"])
+        session.receive(reply + CRLF)
+        with pytest.raises(ProtocolError):
+            session.next_reply()
+        with pytest.raises(ProtocolError, match="connection closed"):
+            session.next_reply()
+
+    def test_quit_lets_pending_replies_through(self):
+        session = ClientSession()
+        session.set("k", b"v")
+        assert session.quit() == b"quit" + CRLF
+        session.receive(b"STORED" + CRLF)
+        assert session.next_reply() is True
+        with pytest.raises(ProtocolError, match="quit"):
+            session.delete("k")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.tenancy import TenantedEngine
-from repro.twemcache import SocketClient, TwemcacheServer
+from repro.twemcache import AsyncTwemcacheServer, SocketClient
 
 
 def make_engine(**kwargs):
@@ -108,7 +108,7 @@ class TestEngineIsolation:
 @pytest.fixture()
 def tenanted_server():
     engine = make_engine(memory_bytes=1 << 20, slab_size=1 << 14)
-    server = TwemcacheServer(engine).start()
+    server = AsyncTwemcacheServer(engine).start()
     yield server
     server.stop()
 
