@@ -10,7 +10,7 @@ policy adapts.  CAMP's recovery must leave it below LRU within each phase
 from conftest import run_once
 
 from repro.analysis import Table
-from repro.cache import KVS, WindowedMetrics
+from repro.cache import KVS, Outcome, WindowedMetrics
 from repro.core import CampPolicy, LruPolicy
 from repro.experiments.data import evolving_trace, get_scale
 from repro.experiments.fig6 import phase_unique_bytes
@@ -27,10 +27,10 @@ def run_transients(scale):
         kvs = KVS(capacity, policy)
         metrics = WindowedMetrics(window=window)
         for record in trace:
-            hit = kvs.get(record.key)
+            hit = kvs.lookup(record.key) is Outcome.HIT
             metrics.record(record.key, record.cost, hit)
             if not hit:
-                kvs.put(record.key, record.size, record.cost)
+                kvs.insert(record.key, record.size, record.cost)
         metrics.finish()
         series[name] = metrics.cost_miss_series()
     table = Table(

@@ -12,7 +12,7 @@ against RAM+SSD with CAMP managing both levels.
 Run:  python examples/hierarchical_cache.py
 """
 
-from repro.cache import KVS, TwoLevelCache
+from repro.cache import KVS, Outcome, TwoLevelCache
 from repro.core import CampPolicy, LruPolicy
 from repro.workloads import three_cost_trace
 
@@ -21,9 +21,8 @@ def run_flat(trace, ram_bytes, policy_factory):
     kvs = KVS(ram_bytes, policy_factory())
     charged = 0.0
     for record in trace:
-        if not kvs.get(record.key):
+        if kvs.access(record.key, record.size, record.cost) is not Outcome.HIT:
             charged += record.cost
-            kvs.put(record.key, record.size, record.cost)
     return charged
 
 

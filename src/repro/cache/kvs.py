@@ -12,11 +12,11 @@ pieces: an admission controller (section 6 future work) and listeners (the
 occupancy tracker behind Figures 6c/6d subscribes to insert/evict events).
 
 Requests report structured :class:`~repro.cache.outcomes.Outcome` values
-(``lookup``/``insert``), carry first-class TTLs (``expire_at`` on
-:class:`CacheItem`, lazily reclaimed on lookup), and can be batched
-(``lookup_many``/``insert_many`` drive the policy under a single
-``bulk()`` lock acquisition).  The historical bool API (``get``/``put``)
-survives as a thin deprecation shim; new code should go through
+(``lookup``/``insert``, or ``access`` — the simulator's
+lookup-and-insert-on-miss as one call), carry first-class TTLs
+(``expire_at`` on :class:`CacheItem`, lazily reclaimed on lookup), and can
+be batched (``lookup_many``/``insert_many`` drive the policy under a
+single ``bulk()`` lock acquisition).  Callers normally go through
 :class:`repro.cache.store.Store`.
 """
 
@@ -75,6 +75,12 @@ class KVS:
         self._admission = admission
         self._overhead = item_overhead
         self._clock = clock if clock is not None else time.monotonic
+        # a policy on the base capacity rules lets access() evict inline:
+        # fits is "size <= capacity", wants_eviction is "free < size"
+        kind = type(policy)
+        self._base_capacity_rules = (
+            kind.fits is EvictionPolicy.fits
+            and kind.wants_eviction is EvictionPolicy.wants_eviction)
         self._items: Dict[str, CacheItem] = {}
         self._used = 0
         self._listeners: List[CacheListener] = []
@@ -117,17 +123,17 @@ class KVS:
         Hits refresh the policy (and admission-history) state.  Expired
         entries are removed like an explicit delete — *not* like a
         capacity eviction — so pressure-driven listeners (ghost caches)
-        do not mistake lifecycle expiry for memory pressure.
+        do not mistake lifecycle expiry for memory pressure.  The clock
+        is read only for a resident item that carries an expiry.
         """
-        return self._lookup_one(self._policy, key, self._clock())
+        return self._lookup_one(self._policy, key)
 
-    def _lookup_one(self, policy: EvictionPolicy, key: str,
-                    now: float) -> Outcome:
+    def _lookup_one(self, policy: EvictionPolicy, key: str) -> Outcome:
         item = self._items.get(key)
         if item is None:
             return Outcome.MISS
         expire_at = item.expire_at
-        if expire_at != 0.0 and now >= expire_at:
+        if expire_at and self._clock() >= expire_at:
             self._drop(policy, item, explicit=True)
             self._expired += 1
             return Outcome.EXPIRED
@@ -135,6 +141,49 @@ class KVS:
         if self._admission is not None:
             self._admission.on_access(key)
         return Outcome.HIT
+
+    def access(self, key: str, size: int, cost: Number,
+               ttl: Optional[float] = None) -> Outcome:
+        """:meth:`lookup`, then :meth:`insert` unless it hit — one call.
+
+        Returns HIT, or what happened to the insert (an expired entry is
+        reclaimed first, as ``lookup`` does).  Probes the item table
+        once.  With no listeners, no admission controller, no ``ttl``
+        and a policy on the base capacity rules, the insert runs inline:
+        one oversize check, then evict until the pair fits.  Anything
+        else takes the general insert path.
+        """
+        items = self._items
+        policy = self._policy
+        item = items.get(key)
+        if item is not None:
+            expire_at = item.expire_at
+            if not expire_at or self._clock() < expire_at:
+                policy.on_hit(key)
+                if self._admission is not None:
+                    self._admission.on_access(key)
+                return Outcome.HIT
+            self._drop(policy, item, explicit=True)
+            self._expired += 1
+        if (ttl or self._listeners or self._admission is not None
+                or not self._base_capacity_rules):
+            return self._insert_one(policy, key, size, cost, ttl)
+        charged = size + self._overhead
+        # built before the checks, so bad input raises as insert() does
+        item = CacheItem(key, charged, cost)
+        capacity = self._capacity
+        if charged > capacity:
+            self._rejected_too_large += 1
+            return Outcome.MISS_REJECTED_TOO_LARGE
+        # the policy is never empty here while bytes are short: with the
+        # base fits rule an empty policy means used == 0 <= capacity - charged
+        while capacity - self._used < charged:
+            self._used -= items.pop(policy.pop_victim(item)).size
+            self._evictions += 1
+        policy.on_insert(key, charged, cost)
+        items[key] = item
+        self._used += charged
+        return Outcome.MISS_INSERTED
 
     def insert(self, key: str, size: int, cost: Number,
                ttl: Optional[float] = None) -> Outcome:
@@ -238,11 +287,10 @@ class KVS:
         for the whole batch."""
         outcomes: List[Outcome] = []
         append = outcomes.append
-        now = self._clock()
         with self._policy.bulk() as policy:
             lookup_one = self._lookup_one
             for key in keys:
-                append(lookup_one(policy, key, now))
+                append(lookup_one(policy, key))
         return outcomes
 
     def insert_many(self, entries: Iterable[PutEntry]) -> List[Outcome]:
@@ -260,23 +308,6 @@ class KVS:
                 ttl = entry[3] if len(entry) > 3 else None
                 append(insert_one(policy, key, size, cost, ttl))
         return outcomes
-
-    # ------------------------------------------------------------------
-    # the historical bool API (deprecated shims)
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> bool:
-        """Deprecated: use :meth:`lookup` (or go through ``Store``).
-
-        True on hit; expired entries read as misses.
-        """
-        return self.lookup(key) is Outcome.HIT
-
-    def put(self, key: str, size: int, cost: Number) -> bool:
-        """Deprecated: use :meth:`insert` (or go through ``Store``).
-
-        True when the pair became resident.
-        """
-        return self.insert(key, size, cost) is Outcome.MISS_INSERTED
 
     # ------------------------------------------------------------------
     # resizing / removal

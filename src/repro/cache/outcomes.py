@@ -5,8 +5,7 @@ and insert".  Bare booleans flatten that contract: a ``False`` from
 ``put`` cannot say *why* the pair is not resident (too large for the
 store?  declined by the admission controller?), and a ``False`` from
 ``get`` cannot distinguish a cold miss from an expired entry.  Every
-request surface in the repo now reports one of these outcomes instead;
-the old bool API survives only as a deprecation shim.
+request surface in the repo now reports one of these outcomes instead.
 
 This module is deliberately tiny and import-cycle free: ``kvs`` and
 ``store`` both import it, ``store`` re-exports it as the public face.
@@ -76,7 +75,7 @@ class AccessResult:
     follow-up insert gave the final ``outcome``).  ``coalesced`` marks a
     result shared from another caller's in-flight load (single-flight
     ``get_or_compute``): this caller paid no loader invocation of its
-    own.  Truthiness means HIT, matching the old ``KVS.get`` bool.
+    own.  Truthiness means HIT.
     """
 
     key: str

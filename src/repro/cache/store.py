@@ -20,7 +20,8 @@ insert".  :class:`Store` is that contract as one public API:
   metrics, clock.
 
 A *backend* is anything exposing the structured KVS surface (``lookup``,
-``insert``, ``delete``, ``touch``, containment).  :class:`repro.cache.kvs.KVS`
+``insert``, ``delete``, ``touch``, containment; optionally ``access`` —
+lookup plus insert-on-miss in one call).  :class:`repro.cache.kvs.KVS`
 is the canonical one; the twemcache slab engine adapts its four-step
 allocation path to the same protocol so the server routes through a Store
 too.  Backends that hold their own value payloads declare
@@ -138,6 +139,10 @@ class Store:
         # optional backend capabilities, resolved once (not per request)
         self._backend_peek = getattr(backend, "peek", None)
         self._backend_value_of = getattr(backend, "value_of", None)
+        # lookup plus insert-on-miss in one call: fused by the KVS, the two
+        # calls in sequence for any other backend
+        self._backend_access = (getattr(backend, "access", None)
+                                or self._lookup_then_insert)
         # tiered backends price a disk-tier serve at this fraction of the
         # item's recompute cost (0.0 for single-tier backends, whose
         # lookups never return HIT_L2 / MISS_PROMOTED)
@@ -274,33 +279,43 @@ class Store:
         the trace simulator tallies, so its per-request loop allocates
         nothing.  Metrics recording and semantics match :meth:`access`;
         an expired lookup reports the follow-up insert's outcome, as
-        ``access`` reports it in ``.outcome``.
-
-        Only meaningful on lock-free stores (the simulator's); locked
-        stores fall back to the same path under their lock.
+        ``access`` reports it in ``.outcome``.  A backend with an
+        ``access`` method (the KVS) does the lookup and the
+        insert-on-miss in that one call.
         """
         lock = self._lock
         if lock is not _NO_LOCK:
             with lock:
-                return self._access_outcome_unlocked(key, size, cost, ttl)
-        return self._access_outcome_unlocked(key, size, cost, ttl)
+                outcome = self._backend_access(key, size, cost, ttl)
+                if self.metrics is not None:
+                    self._record(outcome, key, size, cost)
+                return outcome
+        outcome = self._backend_access(key, size, cost, ttl)
+        if self.metrics is not None:
+            self._record(outcome, key, size, cost)
+        return outcome
 
-    def _access_outcome_unlocked(self, key: str, size: int, cost: Number,
-                                 ttl: Optional[float]) -> Outcome:
+    def _lookup_then_insert(self, key: str, size: int, cost: Number,
+                            ttl: Optional[float] = None) -> Outcome:
+        """``access`` for a backend without one: look up, and insert
+        unless a tier served the key."""
         backend = self._backend
         outcome = backend.lookup(key)
-        if outcome is Outcome.HIT:
-            if self.metrics is not None:
-                self.metrics.record(key, size, cost, True)
+        if (outcome is Outcome.HIT or outcome is Outcome.HIT_L2
+                or outcome is Outcome.MISS_PROMOTED):
             return outcome
-        if outcome is Outcome.HIT_L2 or outcome is Outcome.MISS_PROMOTED:
-            if self.metrics is not None:
-                self.metrics.record_l2(key, size, cost,
-                                       self._backend_l2_factor * cost)
-            return outcome
-        if self.metrics is not None:
-            self.metrics.record(key, size, cost, False)
         return backend.insert(key, size, cost, ttl=ttl)
+
+    def _record(self, outcome: Outcome, key: str, size: int,
+                cost: Number) -> None:
+        """Feed :attr:`metrics` one request's final outcome."""
+        if outcome is Outcome.HIT:
+            self.metrics.record(key, size, cost, True)
+        elif outcome is Outcome.HIT_L2 or outcome is Outcome.MISS_PROMOTED:
+            self.metrics.record_l2(key, size, cost,
+                                   self._backend_l2_factor * cost)
+        else:
+            self.metrics.record(key, size, cost, False)
 
     def get_or_compute(self, key: str, loader: Loader,
                        ttl: Optional[float] = None,

@@ -506,9 +506,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """Run one named benchmark, optionally under cProfile.
 
     ``hotpath`` replays the primary figure trace through ``simulate()``
-    for CAMP and LRU and prints ops/s — the same pipeline
-    ``benchmarks/test_hotpath.py`` gates; any other name is resolved as
-    an experiment id and timed end to end.
+    for CAMP and LRU and prints ops/s — the fused
+    ``Store.access_outcome`` path that the ``policy_replay`` workload of
+    ``bench/`` measures; any other name is resolved as an experiment id
+    and timed end to end.
     """
     import cProfile
     import pstats

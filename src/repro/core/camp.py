@@ -11,12 +11,12 @@ CAMP approximates GDS by
    ``H = L-at-last-request + c``, and ``L`` never decreases, so the head is
    the member with minimum ``H``.
 
-A small heap (8-ary implicit by default) holds one node per non-empty
-queue, keyed by ``(head H, head last-touch sequence)``; the second
-component reproduces CAMP's LRU tie-breaking between queues whose heads
-share an ``H`` value.  The heap is touched only when a queue's head
-changes, a queue empties, or a new queue appears — the source of the
-order-of-magnitude node-visit savings in the paper's Figure 4.
+A heap holds the head of every non-empty queue, keyed by ``(head H, head
+last-touch sequence)``; the second component reproduces CAMP's LRU
+tie-breaking between queues whose heads share an ``H`` value.  The heap is
+touched only when a queue's head changes, a queue empties, or a new queue
+appears — the source of the order-of-magnitude node-visit savings in the
+paper's Figure 4.
 
 With ``precision=None`` (the figure legends' ∞), rounding is the identity
 and CAMP makes exactly the same eviction decisions as
@@ -26,17 +26,35 @@ and CAMP makes exactly the same eviction decisions as
 per-request critical path of every store in the repo, so they are written
 allocation-lean: the ratio conversion and significant-bit rounding are
 inlined (same arithmetic as :mod:`repro.core.rounding`, which remains the
-readable spec), entries carry ``key``/``size``/``cost`` as plain slots
-instead of a :class:`CacheItem` allocation, and measurement counters are
-gated behind ``stats`` — built with ``stats=False`` the policy runs on an
-accounting-free heap and skips every counter.  Decision equivalence with
-the unoptimized seed implementation
+readable spec), and entries carry ``key``/``size``/``cost`` as plain slots
+instead of a :class:`CacheItem` allocation.
+
+The queue-head heap that decides is a plain list of ``(h, seq, head)``
+tuples ordered by the C :mod:`heapq` functions, with lazy invalidation:
+whenever a queue's head changes a fresh tuple is pushed and recorded as
+the queue's ``top``; the old one stays in the list, *stale*, until it
+surfaces at the top and is discarded.  A tuple is live exactly while it
+is its queue's ``top``.  ``(h, seq)`` is unique per tuple (``seq`` is a
+global request counter), so tuples never compare their entries.  An
+eviction re-keys the root with one ``heapreplace`` (or drops it with one
+``heappop``); the list is compacted back to the live tuples whenever
+stale ones outnumber them by more than :data:`STALE_SLACK`, so it never
+holds more than twice the live queue count plus that slack.
+
+``stats=True`` (the default) additionally replays every queue-head event
+— push, re-key, remove — into a counting addressable heap of the chosen
+``heap_kind``, keyed by the same tuples (their unique ``(h, seq)`` decides
+every comparison): a mirror that only measures, so ``heap_node_visits`` and
+``heap_updates`` keep the seed's Figure 4 meaning while decisions always
+come from the :mod:`heapq` index.  Decision equivalence with the
+unoptimized seed implementation
 (:class:`repro.core.camp_reference.ReferenceCampPolicy`) is pinned by
 property tests, stats on and off.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.policy import CacheItem, EvictionPolicy
@@ -52,6 +70,11 @@ from repro.structures import DList, DListNode, make_heap
 __all__ = ["CampPolicy"]
 
 Number = Union[int, float]
+
+#: stale index tuples tolerated beyond the live count before the index is
+#: compacted: with only a handful of live queues, compacting as soon as
+#: stale outnumber live would rebuild every few head moves
+STALE_SLACK = 32
 
 
 class _CampEntry(DListNode):
@@ -90,17 +113,13 @@ class _CampEntry(DListNode):
 class _CampQueue:
     """One LRU queue per distinct rounded cost-to-size ratio."""
 
-    __slots__ = ("ratio_key", "items", "handle")
+    __slots__ = ("ratio_key", "items", "top", "handle")
 
     def __init__(self, ratio_key: int) -> None:
         self.ratio_key = ratio_key
         self.items = DList()
-        self.handle = None  # heap handle; set right after creation
-
-    def head_priority(self) -> Tuple[int, int]:
-        head = self.items.head
-        assert head is not None
-        return (head.h, head.seq)
+        self.top = None     # this queue's live (h, seq, head) index tuple
+        self.handle = None  # stats mirror handle (stats=True only)
 
 
 class CampPolicy(EvictionPolicy):
@@ -123,7 +142,8 @@ class CampPolicy(EvictionPolicy):
         current multiplier, possibly migrating the pair to another queue.
 
         ``stats`` toggles measurement accounting (heap ``node_visits``,
-        ``heap_updates``, per-queue creation counters).  Figures keep the
+        ``heap_updates``, per-queue creation counters), which the
+        ``heap_kind``/``arity`` heap mirror counts.  Figures keep the
         default; production stores pass ``stats=False`` and the counters
         cost nothing — eviction decisions are identical either way.
         """
@@ -132,16 +152,12 @@ class CampPolicy(EvictionPolicy):
                 f"precision must be >= 1 or None, got {precision}")
         self._precision = precision
         self._stats = stats
-        self._heap = make_heap(heap_kind, arity=arity, count_visits=stats)
-        self._entry_factory = type(self._heap).entry_type
-        # direct view of an implicit heap's array: the hit path reads the
-        # minimum (L) once per request, and slot 0 of the array *is* the
-        # minimum — pointer-based backends fall back to peek()
-        self._heap_array = getattr(self._heap, "_data", None)
-        # checked-free root re-key for the eviction path (implicit heaps)
-        self._replace_min = getattr(self._heap, "replace_min", None)
-        # checked-free handle re-key for the hit path (implicit heaps)
-        self._reprioritize = getattr(self._heap, "reprioritize", None)
+        # the deciding queue-head index: a heapq list of (h, seq, head)
+        self._index: List[Tuple[int, int, _CampEntry]] = []
+        # built either way, so a bad heap_kind/arity fails here; only fed
+        # (and so only counting) with stats on
+        self._mirror = make_heap(heap_kind, arity=arity)
+        self._entry_factory = type(self._mirror).entry_type
         self._entries: Dict[str, _CampEntry] = {}
         self._queues: Dict[int, _CampQueue] = {}
         # recycled queue shells: under eviction pressure queues run short
@@ -186,6 +202,43 @@ class CampPolicy(EvictionPolicy):
     # ------------------------------------------------------------------
     # queue / heap plumbing
     # ------------------------------------------------------------------
+    def _set_top(self, queue: _CampQueue,
+                 head: _CampEntry) -> Tuple[int, int, _CampEntry]:
+        """Index ``head`` as ``queue``'s live top and return the tuple.
+        The previous top goes stale — re-keyed in place when it is the
+        root (the minimum queue), which leaves nothing stale behind.  The
+        stats mirror is the caller's business."""
+        index = self._index
+        stale = queue.top
+        queue.top = top = (head.h, head.seq, head)
+        if index and index[0] is stale:
+            heapreplace(index, top)
+        else:
+            heappush(index, top)
+            self._maybe_compact()
+        return top
+
+    def _maybe_compact(self) -> None:
+        """Rebuild the index from the live tuples alone once stale tuples
+        outnumber live ones by more than :data:`STALE_SLACK` — amortized
+        O(1) per push, and the list never exceeds twice the live queue
+        count plus the slack.  In place: hot paths hold the list."""
+        index = self._index
+        if len(index) > 2 * len(self._queues) + STALE_SLACK:
+            index[:] = [queue.top for queue in self._queues.values()]
+            heapify(index)
+
+    def _live_top(self) -> Optional[Tuple[int, int, _CampEntry]]:
+        """The minimum live ``(h, seq, head)`` tuple, or None when empty;
+        stale tuples met on top on the way are discarded."""
+        index = self._index
+        while index:
+            top = index[0]
+            if top[2].queue.top is top:
+                return top
+            heappop(index)
+        return None
+
     def _append_to_queue(self, entry: _CampEntry) -> None:
         """Append entry at the tail of its queue, creating it if needed."""
         queue = self._queues.get(entry.ratio_key)
@@ -194,15 +247,17 @@ class CampPolicy(EvictionPolicy):
             if pool:
                 queue = pool.pop()
                 queue.ratio_key = entry.ratio_key
-                queue.handle.priority = (entry.h, entry.seq)
             else:
                 queue = _CampQueue(entry.ratio_key)
-                queue.handle = self._entry_factory((entry.h, entry.seq),
-                                                   queue)
             self._queues[entry.ratio_key] = queue
             queue.items.append(entry)
-            self._heap.push(queue.handle)
+            top = self._set_top(queue, entry)
             if self._stats:
+                if queue.handle is None:
+                    queue.handle = self._entry_factory(top, queue)
+                else:
+                    queue.handle.priority = top
+                self._mirror.push(queue.handle)
                 self._heap_updates += 1
                 self._queues_created += 1
                 if len(self._queues) > self._max_queues:
@@ -225,18 +280,22 @@ class CampPolicy(EvictionPolicy):
     def _detach_from_queue(self, entry: _CampEntry) -> None:
         """Remove entry from its queue, fixing the heap if the head changed."""
         queue = entry.queue
-        was_head = queue.items.head is entry
-        queue.items.remove(entry)
-        if not queue.items:
-            self._heap.remove(queue.handle)
+        items = queue.items
+        was_head = items.head is entry
+        items.remove(entry)
+        if not items:
+            queue.top = None
             del self._queues[entry.ratio_key]
             if len(self._queue_pool) < 64:
                 self._queue_pool.append(queue)
+            self._maybe_compact()
             if self._stats:
+                self._mirror.remove(queue.handle)
                 self._heap_updates += 1
         elif was_head:
-            self._heap.update(queue.handle, queue.head_priority())
+            top = self._set_top(queue, items.head)
             if self._stats:
+                self._mirror.update(queue.handle, top)
                 self._heap_updates += 1
 
     # ------------------------------------------------------------------
@@ -247,17 +306,15 @@ class CampPolicy(EvictionPolicy):
         if entry is None:
             raise MissingKeyError(key)
         self._seq = seq = self._seq + 1
-        heap = self._heap
         # Algorithm 1 line 2: L advances to the smallest H among all
-        # resident pairs — the minimum queue head, an O(1) heap peek.
+        # resident pairs — the minimum queue head, the index's live top.
         # (The pseudocode prints min over M \ {p}; that reading breaks the
         # competitive bound — see repro.core.gds and the competitive-ratio
         # tests — while the Proposition-1 proof describes the global min.)
-        data = self._heap_array
-        if data is not None:
-            self._L = L = data[0].priority[0]
-        else:
-            self._L = L = heap.peek().priority[0]
+        top = self._index[0]
+        if top[2].queue.top is not top:
+            top = self._live_top()
+        self._L = L = top[0]
         size = entry.size
         converter = self._converter
         mult = converter._max_size
@@ -295,13 +352,9 @@ class CampPolicy(EvictionPolicy):
             entry.seq = seq
             if was_head:
                 # the head changed (or the singleton's priority did)
-                head = sentinel.next
-                reprioritize = self._reprioritize
-                if reprioritize is not None:
-                    reprioritize(queue.handle, (head.h, head.seq))
-                else:
-                    heap.update(queue.handle, (head.h, head.seq))
+                top = self._set_top(queue, sentinel.next)
                 if self._stats:
+                    self._mirror.update(queue.handle, top)
                     self._heap_updates += 1
         else:
             # the adaptive multiplier grew: the pair migrates queues
@@ -344,21 +397,18 @@ class CampPolicy(EvictionPolicy):
             entry.queue = queue
 
     def pop_victim(self, incoming: Optional[CacheItem] = None) -> str:
-        heap = self._heap
-        data = self._heap_array
-        if data is not None:
-            if not data:
+        # line 5: the victim is the head of the minimum-priority queue
+        index = self._index
+        top = index[0] if index else None
+        if top is None or top[2].queue.top is not top:
+            top = self._live_top()
+            if top is None:
                 raise EvictionError("CAMP has nothing to evict")
-            # line 5: the victim is the head of the minimum-priority queue
-            queue: _CampQueue = data[0].item
-        else:
-            if not heap:
-                raise EvictionError("CAMP has nothing to evict")
-            queue = heap.peek().item
+        entry = top[2]
+        queue = entry.queue
         items = queue.items
         # inlined DList.popleft (see on_hit for the splice rationale)
         sentinel = items._sentinel
-        entry = sentinel.next
         head = entry.next
         sentinel.next = head
         head.prev = sentinel
@@ -368,19 +418,21 @@ class CampPolicy(EvictionPolicy):
         items._size = size = items._size - 1
         del self._entries[entry.key]
         if size:
-            replace_min = self._replace_min
-            if replace_min is not None:
-                # the popped queue's handle is the heap root by line 5;
-                # re-key it in place without the handle checks
-                replace_min((head.h, head.seq))
-            else:
-                heap.update(queue.handle, (head.h, head.seq))
+            # the victim's queue is the root: re-key it in place
+            queue.top = top = (head.h, head.seq, head)
+            heapreplace(index, top)
+            if self._stats:
+                self._mirror.update(queue.handle, top)
         else:
-            heap.remove(queue.handle)
+            heappop(index)
+            queue.top = None
             del self._queues[queue.ratio_key]
             pool = self._queue_pool
             if len(pool) < 64:
                 pool.append(queue)
+            self._maybe_compact()
+            if self._stats:
+                self._mirror.remove(queue.handle)
         if self._stats:
             self._heap_updates += 1
         # line 6: L becomes the victim's H (the minimum evaluated while the
@@ -448,9 +500,8 @@ class CampPolicy(EvictionPolicy):
 
     def peek_min_priority(self) -> Optional[Tuple[int, int]]:
         """(H, seq) of the current eviction candidate, or None when empty."""
-        if not self._heap:
-            return None
-        return self._heap.peek().priority
+        top = self._live_top()
+        return None if top is None else (top[0], top[1])
 
     # ------------------------------------------------------------------
     # durable state (snapshot/restore hooks)
@@ -498,9 +549,9 @@ class CampPolicy(EvictionPolicy):
 
     def stats(self) -> Dict[str, Union[int, float]]:
         return {
-            "heap_node_visits": self._heap.node_visits,
+            "heap_node_visits": self._mirror.node_visits,
             "heap_updates": self._heap_updates,
-            "heap_size": len(self._heap),
+            "heap_size": len(self._queues),
             "queue_count": len(self._queues),
             "queues_created": self._queues_created,
             "max_queues": self._max_queues,
@@ -509,7 +560,7 @@ class CampPolicy(EvictionPolicy):
         }
 
     def reset_stats(self) -> None:
-        self._heap.reset_visits()
+        self._mirror.reset_visits()
         self._heap_updates = 0
         self._queues_created = 0
         self._max_queues = len(self._queues)
@@ -518,14 +569,34 @@ class CampPolicy(EvictionPolicy):
         """Verify CAMP's structural invariants (test hook).
 
         Within every queue, H and seq must be non-decreasing head-to-tail
-        and every member's ratio_key must equal the queue key; the heap must
-        carry exactly the non-empty queues keyed by their heads.
+        and every member's ratio_key must equal the queue key.  The index
+        must be heap-ordered with unique ``(h, seq)`` keys and hold exactly
+        one live tuple per non-empty queue — its ``top``, keyed by the
+        queue's head — so that its first live tuple is the minimum queue
+        head; stale tuples must not outnumber live ones by more than
+        :data:`STALE_SLACK`.  With stats on, the mirror must carry exactly
+        the queues, keyed by their live tuples.
         """
-        assert len(self._heap) == len(self._queues)
+        index = self._index
+        queues = self._queues
+        assert len({(t[0], t[1]) for t in index}) == len(index), \
+            "index keys (h, seq) not unique"
+        for i in range(1, len(index)):
+            assert index[(i - 1) // 2] <= index[i], "index not heap-ordered"
+        live = [t for t in index if t[2].queue.top is t]
+        assert len(live) == len(queues), "not one live tuple per queue"
+        assert len(index) <= 2 * len(queues) + STALE_SLACK, \
+            "stale tuples unbounded"
+        if self._stats:
+            assert len(self._mirror) == len(queues)
         total = 0
-        for ratio_key, queue in self._queues.items():
+        for ratio_key, queue in queues.items():
             assert queue.items, "empty queue retained"
-            assert queue.handle.priority == queue.head_priority()
+            head = queue.items.head
+            assert queue.top[2] is head, "queue top is not its head"
+            assert queue.top[:2] == (head.h, head.seq), "stale queue top"
+            if self._stats:
+                assert queue.handle.priority is queue.top
             prev_h = prev_seq = None
             for node in queue.items:
                 total += 1
@@ -535,3 +606,9 @@ class CampPolicy(EvictionPolicy):
                     assert node.seq > prev_seq, "queue not ordered by seq"
                 prev_h, prev_seq = node.h, node.seq
         assert total == len(self._entries)
+        if queues:
+            probe = list(index)
+            while probe[0][2].queue.top is not probe[0]:
+                heappop(probe)
+            assert probe[0] == min(queue.top for queue in queues.values()), \
+                "live top is not the minimum queue head"

@@ -10,7 +10,9 @@ Three interchangeable addressable min-heaps are provided:
 
 All three share an interface (``push`` / ``pop`` / ``peek`` /
 ``peek_second`` / ``update`` / ``remove`` / ``node_visits``), so GDS and
-CAMP can be benchmarked over any of them (the "heap kind" ablation).
+CAMP can be benchmarked over any of them (the "heap kind" ablation):
+GDS decides on the chosen heap, while CAMP decides on its own
+:mod:`heapq` index and feeds the chosen heap only as a counting mirror.
 :func:`make_heap` builds one by name.
 """
 
@@ -20,7 +22,7 @@ from typing import Any, Optional, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.structures.countmin import CountMinSketch
-from repro.structures.dary_heap import DaryHeap, FastDaryHeap, HeapEntry
+from repro.structures.dary_heap import DaryHeap, HeapEntry
 from repro.structures.dlist import DList, DListNode
 from repro.structures.fibonacci_heap import FibEntry, FibonacciHeap
 from repro.structures.pairing_heap import PairingEntry, PairingHeap
@@ -29,7 +31,6 @@ __all__ = [
     "DList",
     "DListNode",
     "DaryHeap",
-    "FastDaryHeap",
     "HeapEntry",
     "PairingHeap",
     "PairingEntry",
@@ -69,7 +70,6 @@ class AddressableHeap(Protocol):
 
 # Each heap advertises the handle class callers should instantiate.
 DaryHeap.entry_type = HeapEntry  # type: ignore[attr-defined]
-FastDaryHeap.entry_type = HeapEntry  # type: ignore[attr-defined]
 PairingHeap.entry_type = PairingEntry  # type: ignore[attr-defined]
 FibonacciHeap.entry_type = FibEntry  # type: ignore[attr-defined]
 
@@ -77,23 +77,18 @@ FibonacciHeap.entry_type = FibEntry  # type: ignore[attr-defined]
 HEAP_KINDS = ("dary", "binary", "pairing", "fibonacci")
 
 
-def make_heap(kind: str = "dary", arity: int = 8,
-              count_visits: bool = True) -> AddressableHeap:
+def make_heap(kind: str = "dary", arity: int = 8) -> AddressableHeap:
     """Build a heap backend by name.
 
     ``kind`` is one of ``"dary"`` (uses ``arity``, default 8 per the paper),
     ``"binary"`` (shorthand for a 2-ary implicit heap), ``"pairing"`` or
-    ``"fibonacci"``.
-
-    ``count_visits=False`` picks the accounting-free implicit heap
-    (``node_visits`` stays 0) for production hot paths; the pointer-based
-    backends ignore the flag (they only appear in measurement ablations).
+    ``"fibonacci"``.  Every backend counts ``node_visits`` (Figure 4);
+    CAMP uses one only as its ``stats=True`` measurement mirror.
     """
     if kind == "dary":
-        return DaryHeap(arity=arity) if count_visits \
-            else FastDaryHeap(arity=arity)
+        return DaryHeap(arity=arity)
     if kind == "binary":
-        return DaryHeap(arity=2) if count_visits else FastDaryHeap(arity=2)
+        return DaryHeap(arity=2)
     if kind == "pairing":
         return PairingHeap()
     if kind == "fibonacci":

@@ -12,12 +12,12 @@ Handles (:class:`HeapEntry`) let callers update or remove an element in
 place — required by GDS (priority bump on every hit) and by CAMP (queue-head
 priority changes).
 
-Visit accounting is a *measurement* feature, and the counter increments sit
-inside the sift loops — squarely on the production hot path.
-:class:`FastDaryHeap` is the same heap with every increment deleted rather
-than branched over (``node_visits`` stays 0), so turning stats off costs
-literally nothing per operation.  :func:`repro.structures.make_heap` picks
-the variant via ``count_visits``.
+Visit accounting is a *measurement* feature and is paid inside every
+sift.  GDS decides on this heap; CAMP decides on a C :mod:`heapq` index
+of its queue heads and, with ``stats=True``, replays the same
+push/update/remove events into one of these heaps only to count them
+(see :mod:`repro.core.camp`), so its Figure 4 counts stay comparable
+with GDS's.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Generic, List, Optional, TypeVar
 
 from repro.errors import ReproError
 
-__all__ = ["HeapEntry", "DaryHeap", "FastDaryHeap"]
+__all__ = ["HeapEntry", "DaryHeap"]
 
 T = TypeVar("T")
 
@@ -148,34 +148,12 @@ class DaryHeap(Generic[T]):
 
     def update(self, entry: HeapEntry[T], priority: Any) -> None:
         """Change ``entry``'s priority and restore heap order."""
-        if entry not in self:
+        data = self._data
+        i = entry.index
+        # __contains__ inlined: CAMP's stats mirror re-keys on every
+        # queue-head change
+        if not (0 <= i < len(data) and data[i] is entry):
             raise ReproError("entry is not in this heap")
-        old = entry.priority
-        entry.priority = priority
-        self.node_visits += 1
-        if priority < old:
-            self._sift_up(entry.index)
-        elif old < priority:
-            self._sift_down(entry.index)
-
-    def replace_min(self, priority: Any) -> None:
-        """Raise the root's priority in place (no handle lookup).
-
-        CAMP's eviction path always re-keys the queue it just popped the
-        victim from — which is by definition the heap minimum — so the
-        handle checks of :meth:`update` are provably redundant there.
-        ``priority`` must be >= the current root priority.
-        """
-        if not self._data:
-            raise ReproError("replace_min on an empty heap")
-        self._data[0].priority = priority
-        self.node_visits += 1
-        self._sift_down(0)
-
-    def reprioritize(self, entry: HeapEntry[T], priority: Any) -> None:
-        """:meth:`update` minus the membership check, for callers whose
-        handle discipline guarantees the entry is in this heap (CAMP's
-        queue handles).  Semantics and visit accounting are identical."""
         old = entry.priority
         entry.priority = priority
         self.node_visits += 1
@@ -261,118 +239,4 @@ class DaryHeap(Generic[T]):
                 parent = (i - 1) // d
                 if self._data[parent].priority > entry.priority:
                     raise ReproError(f"heap order violated at slot {i}")
-
-
-class FastDaryHeap(DaryHeap):
-    """:class:`DaryHeap` with visit accounting compiled out.
-
-    Identical structure and ordering — only the ``node_visits`` increments
-    are gone, so ``node_visits`` reads 0 forever.  This is what CAMP runs
-    on when built with ``stats=False`` (the production configuration); the
-    counting base class stays available for Figure 4 style measurements.
-    """
-
-    __slots__ = ()
-
-    def push(self, entry: HeapEntry[T]) -> HeapEntry[T]:
-        if entry.in_heap:
-            raise ReproError("entry is already in a heap")
-        entry.index = len(self._data)
-        self._data.append(entry)
-        self._sift_up(entry.index)
-        return entry
-
-    def peek_second(self) -> Optional[HeapEntry[T]]:
-        data = self._data
-        n = len(data)
-        if n < 2:
-            return None
-        last = min(n, self._arity + 1)
-        best = data[1]
-        for i in range(2, last):
-            if data[i].priority < best.priority:
-                best = data[i]
-        return best
-
-    def update(self, entry: HeapEntry[T], priority: Any) -> None:
-        if entry not in self:
-            raise ReproError("entry is not in this heap")
-        old = entry.priority
-        entry.priority = priority
-        if priority < old:
-            self._sift_up(entry.index)
-        elif old < priority:
-            self._sift_down(entry.index)
-
-    def replace_min(self, priority: Any) -> None:
-        data = self._data
-        if not data:
-            raise ReproError("replace_min on an empty heap")
-        data[0].priority = priority
-        self._sift_down(0)
-
-    def reprioritize(self, entry: HeapEntry[T], priority: Any) -> None:
-        old = entry.priority
-        entry.priority = priority
-        if priority < old:
-            self._sift_up(entry.index)
-        elif old < priority:
-            self._sift_down(entry.index)
-
-    def _detach(self, index: int) -> None:
-        data = self._data
-        victim = data[index]
-        last = data.pop()
-        victim.index = -1
-        if last is victim:
-            return
-        data[index] = last
-        last.index = index
-        if index > 0 and last.priority < data[(index - 1) // self._arity].priority:
-            self._sift_up(index)
-        else:
-            self._sift_down(index)
-
-    def _sift_up(self, index: int) -> None:
-        data = self._data
-        entry = data[index]
-        priority = entry.priority
-        d = self._arity
-        while index > 0:
-            parent = (index - 1) // d
-            above = data[parent]
-            if above.priority <= priority:
-                break
-            data[index] = above
-            above.index = index
-            index = parent
-        data[index] = entry
-        entry.index = index
-
-    def _sift_down(self, index: int) -> None:
-        data = self._data
-        entry = data[index]
-        priority = entry.priority
-        d = self._arity
-        n = len(data)
-        while True:
-            first_child = index * d + 1
-            if first_child >= n:
-                break
-            last_child = min(first_child + d, n)
-            best = data[first_child]
-            best_index = first_child
-            for c in range(first_child + 1, last_child):
-                child = data[c]
-                if child.priority < best.priority:
-                    best = child
-                    best_index = c
-            if best.priority < priority:
-                data[index] = best
-                best.index = index
-                index = best_index
-            else:
-                break
-        data[index] = entry
-        entry.index = index
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CampPolicy, GdsPolicy, distinct_value_bound
+from repro.core import (CampPolicy, GdsPolicy, ShardedCampPolicy,
+                        distinct_value_bound)
+from repro.core.camp import STALE_SLACK
 from repro.errors import (
     ConfigurationError,
     DuplicateKeyError,
@@ -300,6 +302,59 @@ class TestInvariantsUnderRandomOps:
                     camp.pop_victim()
                 camp.on_insert(key, size, cost)
             camp.check_invariants()
+
+
+class TestQueueHeadIndex:
+    """The lazily invalidated ``heapq`` index of queue heads."""
+
+    def test_hit_heavy_trace_keeps_index_bounded(self):
+        """Hits on the heads of queues that are not the minimum leave a
+        stale tuple behind each time; the index must stay within twice
+        the live queue count plus the slack however long the run."""
+        camp = CampPolicy(precision=None, stats=False)
+        camp.on_insert("cheap", 10, 1)          # the minimum queue
+        for cost in (100, 10_000):
+            for member in ("a", "b", "c"):
+                camp.on_insert(f"{member}{cost}", 10, cost)
+        rng = random.Random(5)
+        most_stale = 0
+        for _ in range(5_000):
+            # size 10 is the multiplier, so each queue's id is its cost
+            head = next(camp.iter_queue(rng.choice((100, 10_000))))
+            camp.on_hit(head.key)
+            assert len(camp._index) <= 2 * camp.queue_count + STALE_SLACK
+            most_stale = max(most_stale, len(camp._index) - camp.queue_count)
+            camp.check_invariants()
+        # the cheap queue is never hit, so no stale tuple ever surfaces:
+        # the index grows to its bound and compaction alone holds it there
+        assert most_stale == camp.queue_count + STALE_SLACK
+        assert camp.pop_victim() == "cheap"
+
+    def test_sharded_peek_skips_stale_tuples(self):
+        policy = ShardedCampPolicy(shards=2, precision=None, stats=False)
+        first, second = policy._shards
+
+        def key_in(shard, prefix):
+            return next(key for key in (f"{prefix}{i}" for i in range(999))
+                        if policy._lane(key)[1] is shard)
+
+        cheap, dear1, dear2 = (key_in(first, prefix)
+                               for prefix in ("cheap", "dearA", "dearB"))
+        middle = key_in(second, "mid")
+        policy.on_insert(cheap, 10, 1)
+        policy.on_insert(dear1, 10, 10_000)
+        policy.on_insert(dear2, 10, 10_000)
+        policy.on_insert(middle, 10, 100)
+        policy.on_hit(dear1)        # moves the dear queue's head: stale tuple
+        assert policy.pop_victim() == cheap
+        stale = first._index[0]
+        assert stale[2].key == dear1 and stale[2].queue.top is not stale
+        assert first.peek_min_priority() == (first.priority_of(dear2),
+                                             first._entries[dear2].seq)
+        assert stale not in first._index
+        first.check_invariants()
+        assert policy.pop_victim() == middle
+        assert policy.pop_victim() == dear2
 
 
 class TestStats:

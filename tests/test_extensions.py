@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import KVS, WindowedMetrics
+from repro.cache import KVS, Outcome, WindowedMetrics
 from repro.core import (
     CampPolicy,
     GdsPolicy,
@@ -95,9 +95,10 @@ class TestTinyLfuAdmission:
 
     def test_integration_with_kvs(self):
         kvs = KVS(1000, LruPolicy(), admission=TinyLfuAdmission(threshold=2))
-        assert not kvs.put("one-hit", 10, 1)
+        assert kvs.insert("one-hit", 10, 1) is \
+            Outcome.MISS_REJECTED_ADMISSION
         assert kvs.rejected_admission == 1
-        assert kvs.put("one-hit", 10, 1)
+        assert kvs.insert("one-hit", 10, 1) is Outcome.MISS_INSERTED
 
     def test_invalid_threshold(self):
         with pytest.raises(ConfigurationError):

@@ -141,12 +141,12 @@ class TestCrashingPolicy:
         """A policy exception propagates, but the store's byte accounting
         and residency map stay consistent (no phantom items)."""
         kvs = KVS(30, _FaultyPolicy(fail_on_eviction=2))
-        kvs.put("a", 10, 1)
-        kvs.put("b", 10, 1)
-        kvs.put("c", 10, 1)
-        kvs.put("d", 10, 1)   # first eviction: fine
+        kvs.insert("a", 10, 1)
+        kvs.insert("b", 10, 1)
+        kvs.insert("c", 10, 1)
+        kvs.insert("d", 10, 1)   # first eviction: fine
         with pytest.raises(RuntimeError):
-            kvs.put("e", 10, 1)   # second eviction: injected crash
+            kvs.insert("e", 10, 1)   # second eviction: injected crash
         # the failed insert must not have been half-applied
         assert "e" not in kvs
         assert kvs.used_bytes == sum(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import KVS, MultiLevelCache, TwoLevelCache
+from repro.cache import KVS, MultiLevelCache, Outcome, TwoLevelCache
 from repro.core import CampPolicy, LruPolicy
 from repro.errors import ConfigurationError
 
@@ -84,9 +84,9 @@ class TestCostSavings:
         requests = [(f"k{rng.randrange(50)}", 10, rng.choice([1, 100]))
                     for _ in range(2000)]
         for key, size, cost in requests:
-            if not flat.get(key):
+            if flat.lookup(key) is not Outcome.HIT:
                 flat_charged += cost
-                flat.put(key, size, cost)
+                flat.insert(key, size, cost)
             hier_charged += cache.lookup(key, size, cost).charged_cost
         assert hier_charged < flat_charged
 

@@ -1,12 +1,17 @@
 """Decision equivalence: optimized CAMP vs the frozen seed CAMP (PR 5).
 
-The hot-path rewrite (inlined ratio arithmetic, direct link splices,
-queue recycling, multiplier-change reround skip, stats toggle) must not
-move a single eviction: every (outcome sequence, eviction sequence,
-final residency, L, seq) produced by :class:`CampPolicy` — stats
-accounting on and off — must be byte-identical to
+The hot-path rewrites (inlined ratio arithmetic, direct link splices,
+queue recycling, multiplier-change reround skip, the lazily invalidated
+``heapq`` queue-head index, the stats mirror) must not move a single
+eviction: every (outcome sequence, eviction sequence, final residency,
+L, seq) produced by :class:`CampPolicy` — stats accounting on and off —
+must be byte-identical to
 :class:`repro.core.camp_reference.ReferenceCampPolicy`, the seed
 implementation kept verbatim for exactly this comparison.
+
+Every case runs through both request entry points: ``KVS.lookup`` +
+``insert``, and ``Store.access_outcome`` — the fused lookup-or-insert
+path that ``simulate()`` and the ``policy_replay`` benchmark drive.
 """
 
 import random
@@ -15,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.kvs import KVS
+from repro.cache.outcomes import Outcome
+from repro.cache.store import StoreConfig
 from repro.core.camp import CampPolicy
 from repro.core.camp_reference import ReferenceCampPolicy
 
@@ -30,27 +37,42 @@ _REQUESTS = st.lists(
               _COSTS),
     min_size=20, max_size=400)
 
+#: the request entry points every case is driven through
+ENTRY_POINTS = ("kvs", "store")
 
-def _drive(policy, requests, capacity):
-    """Replay lookup/insert-on-miss; return every observable decision."""
-    kvs = KVS(capacity, policy)
+
+def _drive(policy, requests, capacity, entry):
+    """Replay lookup/insert-on-miss through ``entry``; return every
+    observable decision.
+
+    Victims are recorded by wrapping the instance's ``pop_victim``
+    rather than by a KVS listener, because a listener would move the
+    ``store`` entry point off its fused fast path.
+    """
     evictions = []
+    pop_victim = policy.pop_victim
 
-    class _Recorder:
-        def on_insert(self, item):
-            pass
+    def recording_pop_victim(incoming=None):
+        victim = pop_victim(incoming)
+        evictions.append(victim)
+        return victim
 
-        def on_evict(self, item, explicit):
-            evictions.append((item.key, explicit))
-
-    kvs.add_listener(_Recorder())
+    policy.pop_victim = recording_pop_victim
     outcomes = []
-    for key_id, size, cost in requests:
-        key = f"k{key_id}"
-        outcome = kvs.lookup(key)
-        outcomes.append(outcome)
-        if outcome.name != "HIT":
-            outcomes.append(kvs.insert(key, size, cost))
+    if entry == "kvs":
+        kvs = KVS(capacity, policy)
+        for key_id, size, cost in requests:
+            key = f"k{key_id}"
+            outcome = kvs.lookup(key)
+            outcomes.append(outcome)
+            if outcome is not Outcome.HIT:
+                outcomes.append(kvs.insert(key, size, cost))
+    else:
+        store = StoreConfig(capacity).policy(policy).build()
+        kvs = store.kvs
+        for key_id, size, cost in requests:
+            outcomes.append(store.access_outcome(f"k{key_id}", size, cost))
+    kvs.check_consistency()
     resident = sorted(item.key for item in kvs.resident_items())
     return outcomes, evictions, resident, policy
 
@@ -64,19 +86,20 @@ class TestOptimizedMatchesReference:
            stats=st.booleans())
     def test_decisions_identical(self, requests, capacity, precision,
                                  reround, stats):
-        optimized = _drive(
-            CampPolicy(precision=precision, reround_on_hit=reround,
-                       stats=stats), requests, capacity)
-        reference = _drive(
-            ReferenceCampPolicy(precision=precision,
-                                reround_on_hit=reround),
-            requests, capacity)
-        assert optimized[0] == reference[0]      # outcome sequence
-        assert optimized[1] == reference[1]      # eviction sequence
-        assert optimized[2] == reference[2]      # final residency
-        assert optimized[3].inflation == reference[3].inflation
-        assert optimized[3]._seq == reference[3]._seq
-        optimized[3].check_invariants()
+        for entry in ENTRY_POINTS:
+            optimized = _drive(
+                CampPolicy(precision=precision, reround_on_hit=reround,
+                           stats=stats), requests, capacity, entry)
+            reference = _drive(
+                ReferenceCampPolicy(precision=precision,
+                                    reround_on_hit=reround),
+                requests, capacity, entry)
+            assert optimized[0] == reference[0]      # outcome sequence
+            assert optimized[1] == reference[1]      # eviction sequence
+            assert optimized[2] == reference[2]      # final residency
+            assert optimized[3].inflation == reference[3].inflation
+            assert optimized[3]._seq == reference[3]._seq
+            optimized[3].check_invariants()
 
     @settings(max_examples=40, deadline=None)
     @given(requests=_REQUESTS,
@@ -84,11 +107,12 @@ class TestOptimizedMatchesReference:
     def test_stats_accounting_identical_when_enabled(self, requests,
                                                      capacity):
         """With stats on, even the measurement counters must agree."""
-        optimized = _drive(CampPolicy(precision=5, stats=True),
-                           requests, capacity)
-        reference = _drive(ReferenceCampPolicy(precision=5),
-                           requests, capacity)
-        assert optimized[3].stats() == reference[3].stats()
+        for entry in ENTRY_POINTS:
+            optimized = _drive(CampPolicy(precision=5, stats=True),
+                               requests, capacity, entry)
+            reference = _drive(ReferenceCampPolicy(precision=5),
+                               requests, capacity, entry)
+            assert optimized[3].stats() == reference[3].stats()
 
     def test_long_trace_equivalence(self):
         """>= 10k requests, deterministic — the PR's headline pin."""
@@ -99,13 +123,14 @@ class TestOptimizedMatchesReference:
                              rng.randint(1, 2_000),
                              rng.choice([1, 100, 10_000,
                                          rng.random() * 250.0])))
-        for stats in (False, True):
-            optimized = _drive(CampPolicy(precision=5, stats=stats),
-                               requests, 60_000)
-            reference = _drive(ReferenceCampPolicy(precision=5),
-                               requests, 60_000)
-            assert optimized[0] == reference[0]
-            assert optimized[1] == reference[1]
-            assert optimized[2] == reference[2]
-            optimized[3].check_invariants()
-        assert len(optimized[1]) > 1_000, "trace must exercise eviction"
+        for entry in ENTRY_POINTS:
+            for stats in (False, True):
+                optimized = _drive(CampPolicy(precision=5, stats=stats),
+                                   requests, 60_000, entry)
+                reference = _drive(ReferenceCampPolicy(precision=5),
+                                   requests, 60_000, entry)
+                assert optimized[0] == reference[0]
+                assert optimized[1] == reference[1]
+                assert optimized[2] == reference[2]
+                optimized[3].check_invariants()
+            assert len(optimized[1]) > 1_000, "trace must exercise eviction"

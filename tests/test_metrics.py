@@ -88,9 +88,9 @@ class TestOccupancyTracker:
         kvs = KVS(50, LruPolicy())
         tracker = OccupancyTracker(capacity=50)
         kvs.add_listener(tracker)
-        kvs.put("tf1:a", 20, 1)
-        kvs.put("tf1:b", 20, 1)
-        kvs.put("tf2:c", 20, 1)   # evicts tf1:a
+        kvs.insert("tf1:a", 20, 1)
+        kvs.insert("tf1:b", 20, 1)
+        kvs.insert("tf2:c", 20, 1)   # evicts tf1:a
         assert tracker.bytes_of("tf1") == 20
         assert tracker.bytes_of("tf2") == 20
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import KVS, PerNamespaceMetrics
+from repro.cache import KVS, Outcome, PerNamespaceMetrics
 from repro.core import CampPolicy, LruPolicy
 from repro.errors import ConfigurationError
 from repro.workloads import Trace, TraceRecord
@@ -46,11 +46,11 @@ class TestPerNamespaceMetrics:
         kvs = KVS(100, LruPolicy())
         metrics = PerNamespaceMetrics()
         kvs.add_listener(metrics)
-        kvs.put("a:1", 40, 1)
-        kvs.put("b:1", 30, 1)
+        kvs.insert("a:1", 40, 1)
+        kvs.insert("b:1", 30, 1)
         assert metrics.resident_bytes("a") == 40
         assert metrics.resident_bytes("b") == 30
-        kvs.put("b:2", 50, 1)     # evicts a:1 (LRU), b:1 survives
+        kvs.insert("b:2", 50, 1)     # evicts a:1 (LRU), b:1 survives
         assert metrics.resident_bytes("a") == 0
         assert metrics.resident_bytes("b") == 80
         rows = metrics.summary_rows(extended=True)
@@ -87,10 +87,10 @@ class TestPerNamespaceMetrics:
             kvs = KVS(trace.capacity_for_ratio(0.2), policy)
             metrics = PerNamespaceMetrics()
             for record in trace:
-                hit = kvs.get(record.key)
+                hit = kvs.lookup(record.key) is Outcome.HIT
                 metrics.record(record.key, record.size, record.cost, hit)
                 if not hit:
-                    kvs.put(record.key, record.size, record.cost)
+                    kvs.insert(record.key, record.size, record.cost)
             outcomes[name] = metrics
         camp_ads = outcomes["camp"].metrics("ads").cost_miss_ratio
         lru_ads = outcomes["lru"].metrics("ads").cost_miss_ratio

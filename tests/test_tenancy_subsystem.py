@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.cache import KVS
+from repro.cache import KVS, Outcome
 from repro.core import CampPolicy, LruPolicy
 from repro.core.policy import CacheItem
 from repro.errors import ConfigurationError, EvictionError
@@ -135,7 +135,7 @@ class TestGhostCache:
 class TestKvsResize:
     def test_grow_is_free(self):
         kvs = KVS(100, LruPolicy())
-        kvs.put("a", 50, 1)
+        kvs.insert("a", 50, 1)
         assert kvs.resize(200) == []
         assert kvs.capacity == 200
         assert "a" in kvs
@@ -143,7 +143,7 @@ class TestKvsResize:
     def test_shrink_evicts_down_to_budget(self):
         kvs = KVS(100, LruPolicy())
         for index in range(10):
-            kvs.put(f"k{index}", 10, 1)
+            kvs.insert(f"k{index}", 10, 1)
         evicted = kvs.resize(45)
         assert [item.key for item in evicted] == ["k0", "k1", "k2", "k3",
                                                   "k4", "k5"]
@@ -162,8 +162,8 @@ class TestKvsResize:
 
         kvs = KVS(100, LruPolicy())
         kvs.add_listener(Recorder())
-        kvs.put("a", 60, 1)
-        kvs.put("b", 40, 1)
+        kvs.insert("a", 60, 1)
+        kvs.insert("b", 40, 1)
         kvs.resize(50)
         assert ("a", False) in events
 
@@ -175,9 +175,9 @@ class TestKvsResize:
         rng = random.Random(11)
         for step in range(1500):
             key = f"k{rng.randrange(80)}"
-            if not kvs.get(key):
-                kvs.put(key, rng.randrange(1, 200),
-                        rng.choice([1, 100, 10_000]))
+            if kvs.lookup(key) is not Outcome.HIT:
+                kvs.insert(key, rng.randrange(1, 200),
+                           rng.choice([1, 100, 10_000]))
             if step % 50 == 25:
                 kvs.resize(rng.randrange(200, 3000))
             assert kvs.used_bytes <= kvs.capacity
@@ -191,7 +191,7 @@ class TestKvsResize:
 
     def test_shrink_with_desynced_policy_raises(self):
         kvs = KVS(100, LruPolicy())
-        kvs.put("a", 80, 1)
+        kvs.insert("a", 80, 1)
         kvs.policy.on_remove("a")     # sabotage: policy forgets the key
         with pytest.raises(EvictionError):
             kvs.resize(10)
