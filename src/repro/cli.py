@@ -455,9 +455,15 @@ def _persist_restore(args: argparse.Namespace) -> int:
 
 
 def _persist_inspect(args: argparse.Namespace) -> int:
-    from repro.persistence import (load_snapshot, log_path_for, read_log,
+    from repro.persistence import (UnsupportedFormatError, load_snapshot,
+                                   log_path_for, read_log,
                                    snapshot_generations)
     from repro.persistence.snapshot import Snapshotter
+
+    def unreadable(exc: ReproError) -> str:
+        return "UNSUPPORTED" if isinstance(exc, UnsupportedFormatError) \
+            else "CORRUPT"
+
     generations = snapshot_generations(args.state_dir)
     if not generations:
         print(f"no snapshots in {args.state_dir}")
@@ -468,7 +474,7 @@ def _persist_inspect(args: argparse.Namespace) -> int:
         try:
             data = load_snapshot(path)
         except ReproError as exc:
-            print(f"generation {generation}: CORRUPT ({exc})")
+            print(f"generation {generation}: {unreadable(exc)} ({exc})")
             continue
         policy = data.policy_state.get("policy")
         print(f"generation {generation}: {data.item_count} items, "
@@ -478,7 +484,12 @@ def _persist_inspect(args: argparse.Namespace) -> int:
         log_path = log_path_for(args.state_dir, generation)
         if not log_path.exists():
             continue
-        operations, clean, valid_bytes = read_log(log_path)
+        try:
+            operations, clean, valid_bytes = read_log(log_path)
+        except ReproError as exc:
+            print(f"log for generation {generation}: {unreadable(exc)} "
+                  f"({exc})")
+            continue
         tail = "clean" if clean else f"TORN after {valid_bytes} bytes"
         print(f"log for generation {generation}: {len(operations)} "
               f"operations, {tail}")

@@ -508,16 +508,15 @@ class CampPolicy(EvictionPolicy):
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
         """Everything a restored CAMP needs to evict identically: the
-        queues (head-to-tail, preserving LRU order), each member's fixed
-        H and touch sequence, the global clocks L/seq, and the adaptive
-        multiplier.  Queue ids (rounded ratios) ride along so migration
-        history survives even when the current multiplier would round a
-        member into a different queue today."""
-        queues = [
-            [ratio_key, [[e.key, e.size, e.cost, e.h, e.seq]
-                         for e in queue.items]]
-            for ratio_key, queue in self._queues.items()
-        ]
+        global clocks L/seq and the adaptive multiplier as scalars, and
+        one ``[key, size, cost, H, seq, ratio_key]`` row per member —
+        queue by queue in creation order, head-to-tail inside each queue,
+        so LRU order survives.  Queue ids (rounded ratios) ride along so
+        migration history survives even when the current multiplier
+        would round a member into a different queue today."""
+        entries = [[e.key, e.size, e.cost, e.h, e.seq, ratio_key]
+                   for ratio_key, queue in self._queues.items()
+                   for e in queue.items]
         return {
             "policy": self.name,
             "precision": self._precision,
@@ -525,7 +524,7 @@ class CampPolicy(EvictionPolicy):
             "L": self._L,
             "seq": self._seq,
             "multiplier": self._converter.multiplier,
-            "queues": queues,
+            "entries": entries,
         }
 
     def import_state(self, state: Dict[str, object]) -> None:
@@ -535,17 +534,16 @@ class CampPolicy(EvictionPolicy):
         self._L = state["L"]
         self._seq = state["seq"]
         self._converter.observe(int(state["multiplier"]))
-        for ratio_key, members in state["queues"]:
-            for key, size, cost, h, seq in members:
-                if key in self._entries:
-                    raise ConfigurationError(
-                        f"snapshot lists {key!r} in two queues")
-                # mult=-1: a snapshot does not say which multiplier each
-                # member was rounded under, so the first hit after a
-                # restore always rerounds — exactly the seed's behaviour
-                entry = _CampEntry(key, size, cost, h, seq, ratio_key, -1)
-                self._entries[key] = entry
-                self._append_to_queue(entry)
+        for key, size, cost, h, seq, ratio_key in state["entries"]:
+            if key in self._entries:
+                raise ConfigurationError(
+                    f"snapshot lists {key!r} in two queues")
+            # mult=-1: a snapshot does not say which multiplier each
+            # member was rounded under, so the first hit after a
+            # restore always rerounds — exactly the seed's behaviour
+            entry = _CampEntry(key, size, cost, h, seq, ratio_key, -1)
+            self._entries[key] = entry
+            self._append_to_queue(entry)
 
     def stats(self) -> Dict[str, Union[int, float]]:
         return {

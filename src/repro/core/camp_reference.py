@@ -272,16 +272,14 @@ class ReferenceCampPolicy(EvictionPolicy):
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
         """Everything a restored CAMP needs to evict identically: the
-        queues (head-to-tail, preserving LRU order), each member's fixed
-        H and touch sequence, the global clocks L/seq, and the adaptive
-        multiplier.  Queue ids (rounded ratios) ride along so migration
-        history survives even when the current multiplier would round a
-        member into a different queue today."""
-        queues = [
-            [ratio_key, [[e.item.key, e.item.size, e.item.cost, e.h, e.seq]
-                         for e in queue.items]]
-            for ratio_key, queue in self._queues.items()
-        ]
+        global clocks L/seq and the adaptive multiplier as scalars, and
+        one ``[key, size, cost, H, seq, ratio_key]`` row per member —
+        queue by queue, head-to-tail inside each queue, so LRU order
+        survives."""
+        entries = [[e.item.key, e.item.size, e.item.cost, e.h, e.seq,
+                    ratio_key]
+                   for ratio_key, queue in self._queues.items()
+                   for e in queue.items]
         return {
             "policy": self.name,
             "precision": self._precision,
@@ -289,7 +287,7 @@ class ReferenceCampPolicy(EvictionPolicy):
             "L": self._L,
             "seq": self._seq,
             "multiplier": self._converter.multiplier,
-            "queues": queues,
+            "entries": entries,
         }
 
     def import_state(self, state: Dict[str, object]) -> None:
@@ -299,15 +297,13 @@ class ReferenceCampPolicy(EvictionPolicy):
         self._L = state["L"]
         self._seq = state["seq"]
         self._converter.observe(int(state["multiplier"]))
-        for ratio_key, members in state["queues"]:
-            for key, size, cost, h, seq in members:
-                if key in self._entries:
-                    raise ConfigurationError(
-                        f"snapshot lists {key!r} in two queues")
-                entry = _CampEntry(CacheItem(key, size, cost), h, seq,
-                                  ratio_key)
-                self._entries[key] = entry
-                self._append_to_queue(entry)
+        for key, size, cost, h, seq, ratio_key in state["entries"]:
+            if key in self._entries:
+                raise ConfigurationError(
+                    f"snapshot lists {key!r} in two queues")
+            entry = _CampEntry(CacheItem(key, size, cost), h, seq, ratio_key)
+            self._entries[key] = entry
+            self._append_to_queue(entry)
 
     def stats(self) -> Dict[str, Union[int, float]]:
         return {

@@ -163,8 +163,9 @@ class GdsPolicy(EvictionPolicy):
     # durable state (snapshot/restore hooks)
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """Residents with their fixed (H, seq) priorities plus the global
-        clocks — heap shape is irrelevant, priorities are total."""
+        """Residents as ``[key, size, cost, H, seq]`` rows with their
+        fixed priorities, plus the global clocks — heap shape is
+        irrelevant, priorities are total."""
         entries = [[e.item.key, e.item.size, e.item.cost,
                     e.priority[0], e.priority[1]]
                    for e in self._entries.values()]
@@ -183,10 +184,12 @@ class GdsPolicy(EvictionPolicy):
         self._L = state["L"]
         self._seq = state["seq"]
         self._converter.observe(int(state["multiplier"]))
-        for key, size, cost, h, seq in state["entries"]:
+        for row in state["entries"]:
+            key = row[0]
             if key in self._entries:
                 raise ConfigurationError(f"snapshot lists {key!r} twice")
-            entry = self._entry_type((h, seq), CacheItem(key, size, cost))
+            entry = self._entry_type((row[3], row[4]),
+                                     CacheItem(key, row[1], row[2]))
             self._heap.push(entry)
             self._entries[key] = entry
 

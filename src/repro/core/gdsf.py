@@ -60,12 +60,14 @@ class GdsfPolicy(GdsPolicy):
     # durable state (snapshot/restore hooks)
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """GDS state plus the per-key resident frequency counters."""
+        """GDS state with each row's resident frequency counter folded in
+        as a sixth column: ``[key, size, cost, H, seq, freq]``."""
         state = super().export_state()
-        state["freq"] = dict(self._freq)
+        freq = self._freq
+        for row in state["entries"]:
+            row.append(freq[row[0]])
         return state
 
     def import_state(self, state: Dict[str, object]) -> None:
         super().import_state(state)
-        self._freq = {str(key): int(count)
-                      for key, count in state["freq"].items()}
+        self._freq = {row[0]: row[5] for row in state["entries"]}

@@ -121,12 +121,17 @@ class EvictionPolicy(ABC):
     def export_state(self) -> Dict[str, object]:
         """Serialize eviction state for a durable snapshot.
 
-        Returns a JSON-serializable dict whose ``"policy"`` entry names
-        the concrete policy.  A policy of the same kind fed this dict via
+        Returns a dict of JSON-serializable scalars — its ``"policy"``
+        entry names the concrete policy, others carry global clocks
+        (CAMP's ``L``) — plus ``"entries"``: one ``[key, size, cost,
+        *fields]`` row per resident, with a fixed number of int or float
+        fields per policy, in the order :meth:`import_state` must replay
+        them.  Snapshots store each row once, joined with the pair's
+        item fields.  A policy of the same kind fed this dict via
         :meth:`import_state` must make *identical* future eviction
-        decisions — membership, recency/priority order, and any global
-        clocks (CAMP's ``L``) all round-trip.  Policies that cannot
-        honour that contract keep the default, which refuses.
+        decisions — membership, recency/priority order, and the global
+        clocks all round-trip.  Policies that cannot honour that
+        contract keep the default, which refuses.
         """
         raise ConfigurationError(
             f"policy {self.name!r} does not support durable state export")

@@ -6,11 +6,15 @@ items"; this package makes the reproduction's stores restartable without
 re-paying the working set's ``cost(p)``:
 
 * :mod:`~repro.persistence.format` — framed, CRC-checksummed records,
-* :mod:`~repro.persistence.snapshot` — atomic generational snapshots
-  carrying items *and* exported eviction-policy state (CAMP queues,
-  rounded priorities, the global L clock),
-* :mod:`~repro.persistence.aol` — the post-snapshot mutation log with
-  configurable fsync policy and torn-tail repair,
+  the retired format-1 magics, and the GC pause of the bulk passes,
+* :mod:`~repro.persistence.snapshot` — atomic generational ``CAMPSNP2``
+  snapshots carrying each resident pair once, as one binary record
+  joining its item fields with the eviction policy's per-key state
+  (CAMP queues, rounded priorities) beside the policy's scalars (the
+  global L clock),
+* :mod:`~repro.persistence.aol` — the post-snapshot ``CAMPAOL2``
+  mutation log, one binary record per mutation, with configurable fsync
+  policy and torn-tail repair,
 * :mod:`~repro.persistence.recovery` — newest-healthy-generation
   restore plus log replay,
 * :mod:`~repro.persistence.manager` — live-store wiring: listener-driven
@@ -27,6 +31,8 @@ from repro.persistence.format import (
     SNAPSHOT_MAGIC,
     PersistenceError,
     SnapshotCorruptError,
+    UnsupportedFormatError,
+    gc_paused,
 )
 from repro.persistence.manager import (
     PersistenceConfig,
@@ -50,6 +56,8 @@ from repro.persistence.snapshot import (
 __all__ = [
     "PersistenceError",
     "SnapshotCorruptError",
+    "UnsupportedFormatError",
+    "gc_paused",
     "SNAPSHOT_MAGIC",
     "LOG_MAGIC",
     "AppendOnlyLog",

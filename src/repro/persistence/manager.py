@@ -19,6 +19,7 @@ daemon thread (the twemcache engine's background saver uses it too).
 from __future__ import annotations
 
 import os
+import pathlib
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Union
@@ -26,7 +27,7 @@ from typing import Callable, Dict, Mapping, Optional, Union
 from repro.cache.kvs import KVS
 from repro.core.policy import CacheItem
 from repro.persistence.aol import FSYNC_POLICIES, AppendOnlyLog
-from repro.persistence.format import PersistenceError
+from repro.persistence.format import PersistenceError, refuse_retired
 from repro.persistence.recovery import RecoveryManager, log_path_for
 from repro.persistence.snapshot import Snapshotter
 
@@ -103,8 +104,16 @@ class PersistenceManager:
         the live state is written immediately instead.  ``None`` (the
         default) trusts the caller to be in sync with the newest
         generation.
+
+        A directory holding format-1 state raises
+        :class:`~repro.persistence.format.UnsupportedFormatError` before
+        any file is opened, so no snapshot or prune replaces it.
         """
         config.validate()
+        directory = pathlib.Path(config.directory)
+        for entry in (*directory.glob("snapshot-*.snap"),
+                      *directory.glob("aol-*.log")):
+            refuse_retired(entry)
         self._kvs = kvs
         self._config = config
         self._payload_source = payload_source

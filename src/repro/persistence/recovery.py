@@ -18,6 +18,12 @@ evictions re-run under the restored policy state; the result is a
 *warm* cache — exact at the snapshot point, best-effort for the logged
 suffix (hits between snapshot and crash were not logged, so post-
 snapshot recency is approximated by the mutation order).
+
+A format-1 file (``CAMPSNP1``/``CAMPAOL1``) is refused with
+:class:`~repro.persistence.format.UnsupportedFormatError` naming the
+file and its format; it is never treated as corrupt, so no fallback,
+truncation or re-snapshot touches it.  The bulk restore runs with the
+cyclic GC paused (:func:`~repro.persistence.format.gc_paused`).
 """
 
 from __future__ import annotations
@@ -30,8 +36,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cache.kvs import KVS
 from repro.core import make_policy
-from repro.persistence.aol import AppendOnlyLog, read_log
-from repro.persistence.format import PersistenceError, SnapshotCorruptError
+from repro.persistence.aol import AppendOnlyLog, scan_log
+from repro.persistence.format import (
+    PersistenceError,
+    SnapshotCorruptError,
+    UnsupportedFormatError,
+    gc_paused,
+)
 from repro.persistence.snapshot import (
     SnapshotData,
     Snapshotter,
@@ -101,6 +112,8 @@ class RecoveryManager:
             path = snapshotter.path_for(generation)
             try:
                 return load_snapshot(path, now=now), path, corrupt
+            except UnsupportedFormatError:
+                raise
             except PersistenceError:
                 corrupt.append(generation)
         return None, None, corrupt
@@ -124,48 +137,49 @@ class RecoveryManager:
         snapshot read with an earlier :meth:`load_latest_snapshot` result
         (callers that inspect the header first — the tenancy manager
         adopting saved allocations — avoid parsing the file twice).
+        A format-1 snapshot or log on the recovery path raises
+        :class:`~repro.persistence.format.UnsupportedFormatError` and is
+        left byte for byte as it was.
         """
         report = RecoveryReport()
-        if preloaded is not None:
-            data, path, corrupt = preloaded
-        else:
-            data, path, corrupt = self.load_latest_snapshot(now=kvs.clock())
-        report.corrupt_generations = corrupt
-        if data is not None:
-            evicted = kvs.restore(data.items, data.policy_state)
-            report.generation = data.generation
-            report.snapshot_path = str(path)
-            report.items_restored = data.item_count - len(evicted)
-            report.evicted_on_restore = len(evicted)
-            report.payloads = {
-                key: value for key, value in data.payloads.items()
-                if key in kvs}
-        self._replay_log(kvs, report, repair_log=repair_log)
+        with gc_paused():
+            if preloaded is not None:
+                data, path, corrupt = preloaded
+            else:
+                data, path, corrupt = self.load_latest_snapshot(
+                    now=kvs.clock())
+            report.corrupt_generations = corrupt
+            if data is not None:
+                evicted = kvs.restore(data.items, data.policy_state)
+                report.generation = data.generation
+                report.snapshot_path = str(path)
+                report.items_restored = data.item_count - len(evicted)
+                report.evicted_on_restore = len(evicted)
+                report.payloads = {
+                    key: value for key, value in data.payloads.items()
+                    if key in kvs}
+            self._replay_log(kvs, report, repair_log=repair_log)
         return report
 
     def _replay_log(self, kvs: KVS, report: RecoveryReport,
                     repair_log: bool) -> None:
         path = log_path_for(self._dir, report.generation)
-        operations, clean, _valid = read_log(path)
+        try:
+            operations, clean, _valid = scan_log(path)
+        except SnapshotCorruptError as exc:
+            raise SnapshotCorruptError(f"{path}: {exc}") from None
         if not clean and repair_log:
             AppendOnlyLog.repair(path)
             report.torn_tail_truncated = True
         overhead = kvs.item_overhead
-        for operation in operations:
-            op = operation.get("op")
-            key = str(operation.get("k", ""))
+        for op, key, size, cost, ttl in operations:
             if op == "insert":
                 # the log records charged sizes; KVS.insert re-charges
-                size = int(operation["s"]) - overhead
-                kvs.insert(key, size, operation["c"],
-                           ttl=operation.get("ttl"))
+                kvs.insert(key, size - overhead, cost, ttl=ttl)
             elif op == "delete":
                 kvs.delete(key)
-            elif op == "touch":
-                kvs.touch(key, operation.get("ttl"))
             else:
-                raise SnapshotCorruptError(
-                    f"{path}: unknown log operation {op!r}")
+                kvs.touch(key, ttl)
             report.log_records_replayed += 1
 
     # ------------------------------------------------------------------

@@ -46,7 +46,6 @@ from repro.core.policy import EvictionPolicy
 from repro.core.rounding import RatioConverter
 from repro.errors import ConfigurationError
 from repro.persistence.format import (
-    SNAPSHOT_MAGIC,
     PersistenceError,
     SnapshotCorruptError,
     atomic_write,
@@ -68,6 +67,10 @@ Number = Union[int, float]
 
 #: bytes charged per item for metadata (key pointer, CAS, flags, links)
 ITEM_HEADER_SIZE = 48
+
+#: the engine's own snapshot file magic: JSON records, a format apart
+#: from the durable store's ``CAMPSNP2``
+ENGINE_SNAPSHOT_MAGIC = b"CAMPSNP1"
 
 
 @dataclass(slots=True)
@@ -560,7 +563,7 @@ class TwemcacheEngine:
                      if not item.expired(now)]
 
             def write_body(handle):
-                write_magic(handle, SNAPSHOT_MAGIC)
+                write_magic(handle, ENGINE_SNAPSHOT_MAGIC)
                 write_record(handle, {
                     "kind": "twemcache", "version": 1, "clock": now,
                     "items": len(items),
@@ -600,7 +603,7 @@ class TwemcacheEngine:
                     f"cannot read snapshot {target}: {exc}") from exc
             stored = 0
             with handle:
-                read_magic(handle, SNAPSHOT_MAGIC)
+                read_magic(handle, ENGINE_SNAPSHOT_MAGIC)
                 header = read_record(handle)
                 if header is None or header.get("kind") != "twemcache":
                     raise SnapshotCorruptError(

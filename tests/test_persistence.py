@@ -8,8 +8,10 @@ compared decision-for-decision against an uninterrupted control on
 seeded ≥10k-request workloads).
 """
 
+import gc
 import io
 import random
+import struct
 import threading
 
 import pytest
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 from repro.cache import KVS
 from repro.cache.outcomes import Outcome
 from repro.cache.store import StoreConfig
-from repro.core import make_policy
+from repro.core import CampPolicy, make_policy
 from repro.core.concurrent import ThreadSafePolicy
+from repro.core.lru import LruPolicy
 from repro.errors import ConfigurationError
+from repro.faults import Fault, FaultPlan, inject
 from repro.persistence import (
     AppendOnlyLog,
     PersistenceConfig,
@@ -31,6 +35,8 @@ from repro.persistence import (
     SnapshotCorruptError,
     Snapshotter,
     SnapshotThread,
+    UnsupportedFormatError,
+    gc_paused,
     load_snapshot,
     log_path_for,
     read_log,
@@ -39,6 +45,8 @@ from repro.persistence import (
 )
 from repro.persistence.format import (
     LOG_MAGIC,
+    MAX_RECORD_BYTES,
+    SNAPSHOT_MAGIC,
     iter_records,
     read_magic,
     read_record,
@@ -434,8 +442,9 @@ class TestRecovery:
         kvs.insert("a", 1, 1)
         Snapshotter(tmp_path).save(kvs)
         with AppendOnlyLog(log_path_for(tmp_path, 1)) as log:
-            log.append({"op": "frobnicate", "k": "a"})
-        with pytest.raises(SnapshotCorruptError, match="frobnicate"):
+            log.append(b"\x7fa")   # a framed record, op byte 0x7f
+        with pytest.raises(SnapshotCorruptError,
+                           match="unknown log operation 0x7f"):
             RecoveryManager(tmp_path).recover_into(build_kvs("lru"))
 
 
@@ -916,5 +925,441 @@ class TestRestartEquivalence:
         assert restored_state["L"] == state["L"]
         assert restored_state["seq"] == state["seq"]
         assert restored_state["multiplier"] == state["multiplier"]
-        assert restored_state["queues"] == state["queues"]
+        # each queue's members, head-to-tail, with their fixed H/seq
+        assert restored_state["entries"] == state["entries"]
+        assert restored_state == state
         warm.persistence.close()
+
+
+# ---------------------------------------------------------------------------
+# the binary formats: CAMPSNP2 round trips, out-of-range values
+# ---------------------------------------------------------------------------
+I64_MAX = (1 << 63) - 1
+
+#: every durable policy, built fresh for a capacity
+DURABLE_POLICIES = {
+    "lru": lambda capacity: make_policy("lru", capacity),
+    "gds": lambda capacity: make_policy("gds", capacity),
+    "gdsf": lambda capacity: make_policy("gdsf", capacity),
+    "camp-stats": lambda capacity: CampPolicy(stats=True),
+    "camp-nostats": lambda capacity: CampPolicy(stats=False),
+    "thread-safe-camp": lambda capacity: ThreadSafePolicy(
+        make_policy("camp", capacity)),
+}
+
+_KEYS = st.text(st.characters(blacklist_categories=("Cs",)),
+                min_size=1, max_size=6)
+_COSTS = st.one_of(st.integers(0, 500), st.just(I64_MAX),
+                   st.floats(0, 500, allow_nan=False, allow_infinity=False))
+_MUTATIONS = st.lists(st.tuples(
+    _KEYS,
+    st.integers(1, 300),                            # size
+    _COSTS,
+    st.one_of(st.none(), st.integers(1, 40)),       # ttl
+    st.one_of(st.none(), st.binary(max_size=8)),    # payload
+), min_size=1, max_size=50)
+
+
+def _fits_i64(state):
+    return all(not isinstance(value, int) or -(1 << 63) <= value <= I64_MAX
+               for row in state["entries"] for value in row[1:])
+
+
+def _continue(kvs, clock, tape, origin):
+    """Replay ``tape`` (key, size, cost) with the clock stepping 1.5 s per
+    request from ``origin``; returns the outcomes."""
+    outcomes = []
+    for step, (key, size, cost) in enumerate(tape):
+        clock.now = origin + 1.5 * (step + 1)
+        outcomes.append(kvs.access(key, size, cost))
+    return outcomes
+
+
+class TestBinaryRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(policy=st.sampled_from(sorted(DURABLE_POLICIES)),
+           mutations=_MUTATIONS,
+           tape=st.lists(st.tuples(_KEYS, st.integers(1, 300),
+                                   st.integers(0, 500)), max_size=40))
+    def test_save_load_restore_is_exact(self, tmp_path_factory, policy,
+                                        mutations, tape):
+        capacity = 2_000
+        saver_clock = ManualClock(1000.0)
+        source = KVS(capacity, DURABLE_POLICIES[policy](capacity),
+                     clock=saver_clock)
+        payloads = {}
+        for key, size, cost, ttl, payload in mutations:
+            outcome = source.insert(key, size, cost, ttl=ttl)
+            if outcome is Outcome.MISS_INSERTED:
+                payloads.pop(key, None)
+                if payload is not None:
+                    payloads[key] = payload
+            source.lookup(mutations[0][0])
+        payloads = {key: value for key, value in payloads.items()
+                    if key in source}
+        state = source.policy.export_state()
+        path = tmp_path_factory.mktemp("rt") / "s.snap"
+        if not _fits_i64(state):
+            with pytest.raises(PersistenceError, match="i64"):
+                save_snapshot(path, source, payloads=payloads)
+            assert not path.exists()
+            return
+        save_snapshot(path, source, payloads=payloads)
+
+        data = load_snapshot(path, now=50.0)
+        restorer_clock = ManualClock(50.0)
+        target = KVS(capacity, DURABLE_POLICIES[policy](capacity),
+                     clock=restorer_clock)
+        assert target.restore(data.items, data.policy_state) == []
+        # repr tells 5 from 5.0: cost and field types survive
+        assert repr(target.policy.export_state()) == repr(state)
+        assert data.payloads == payloads   # b"" and absent stay apart
+        for item in data.items:
+            original = next(i for i in source.resident_items()
+                            if i.key == item.key)
+            assert repr(item.cost) == repr(original.cost)
+            if original.expire_at:
+                assert item.expire_at == pytest.approx(
+                    50.0 + original.expire_at - 1000.0)
+            else:
+                assert item.expire_at == 0.0
+        assert _continue(target, restorer_clock, tape, 50.0) == \
+            _continue(source, saver_clock, tape, 1000.0)
+        assert sorted(i.key for i in target.resident_items()) == \
+            sorted(i.key for i in source.resident_items())
+        target.check_consistency()
+
+    @pytest.mark.parametrize("policy", sorted(DURABLE_POLICIES))
+    def test_i64_bounds_round_trip_and_beyond_refused(self, tmp_path, policy):
+        kvs = KVS(10_000, DURABLE_POLICIES[policy](10_000))
+        kvs.insert("max", 100, I64_MAX)
+        kvs.insert("zero", 100, 0)
+        save_snapshot(tmp_path / "ok.snap", kvs)
+        data = load_snapshot(tmp_path / "ok.snap")
+        assert {row[0]: row[2] for row in data.policy_state["entries"]} == \
+            {"max": I64_MAX, "zero": 0}
+        kvs.insert("beyond", 100, I64_MAX + 1)
+        with pytest.raises(PersistenceError, match="i64"):
+            save_snapshot(tmp_path / "bad.snap", kvs)
+        assert not (tmp_path / "bad.snap").exists()
+        with AppendOnlyLog(tmp_path / "x.log") as log:
+            with pytest.raises(PersistenceError, match="i64"):
+                log.log_insert("beyond", 100, I64_MAX + 1)
+            assert log.records_appended == 0
+
+    def test_key_longer_than_its_length_field_refused(self, tmp_path):
+        kvs = build_kvs("lru", capacity=1 << 20)
+        kvs.insert("k" * 65_535, 10, 1)
+        save_snapshot(tmp_path / "ok.snap", kvs)
+        assert load_snapshot(tmp_path / "ok.snap").items[0].key == \
+            "k" * 65_535
+        kvs.insert("é" * 40_000, 10, 1)   # 80 000 bytes of UTF-8
+        with pytest.raises(PersistenceError, match="65535"):
+            save_snapshot(tmp_path / "long.snap", kvs)
+
+    def test_each_pair_written_once(self, tmp_path):
+        kvs = build_kvs("camp", capacity=1 << 20)
+        for i in range(2_000):
+            kvs.insert(f"key-{i:05d}", 100, i % 7)
+        path = tmp_path / "once.snap"
+        save_snapshot(path, kvs)
+        raw = path.read_bytes()
+        assert raw.startswith(SNAPSHOT_MAGIC)
+        # one pair record per key: the JSON header and footer list none
+        for i in (0, 1, 999, 1_999):
+            assert raw.count(f"key-{i:05d}".encode()) == 1
+        # 43 B of packed fields + a 9 B key per pair, plus framing
+        assert len(raw) < 2_000 * 56
+
+    def test_log_round_trips_cost_types_and_ttl(self, tmp_path):
+        path = tmp_path / "ops.log"
+        with AppendOnlyLog(path) as log:
+            log.log_insert("ü-int", 10, I64_MAX)
+            log.log_insert("float", 10, 2.5, ttl=7.25)
+            log.log_touch("float", ttl=3.0)
+            log.log_touch("plain")
+            log.log_delete("ü-int")
+        raw = path.read_bytes()
+        assert raw.startswith(LOG_MAGIC)
+        operations, clean, valid = read_log(path)
+        assert clean and valid == len(raw)
+        assert operations == [
+            {"op": "insert", "k": "ü-int", "s": 10, "c": I64_MAX},
+            {"op": "insert", "k": "float", "s": 10, "c": 2.5, "ttl": 7.25},
+            {"op": "touch", "k": "float", "ttl": 3.0},
+            {"op": "touch", "k": "plain"},
+            {"op": "delete", "k": "ü-int"},
+        ]
+        assert type(operations[1]["c"]) is float
+        # one frame per mutation: 8-byte frame + op + size + cost + key
+        assert len(raw) == len(LOG_MAGIC) + 5 * 8 + (17 + len("ü-int".encode())) \
+            + (25 + 5) + (9 + 5) + (1 + 5) + (1 + len("ü-int".encode()))
+
+
+# ---------------------------------------------------------------------------
+# corruption and torn tails in the binary layouts
+# ---------------------------------------------------------------------------
+def _first_block_offset(raw):
+    """Byte offset of the first pair block's frame in a snapshot."""
+    header_length, _crc = struct.unpack_from("<II", raw, len(SNAPSHOT_MAGIC))
+    return len(SNAPSHOT_MAGIC) + 8 + header_length
+
+
+class TestBinaryCorruption:
+    def _two_generations(self, tmp_path):
+        kvs = build_kvs("camp", capacity=100_000)
+        snapshotter = Snapshotter(tmp_path, keep_generations=2)
+        for i in range(300):
+            kvs.insert(f"old{i}", 40, i % 5 + 1)
+        snapshotter.save(kvs)
+        for i in range(300):
+            kvs.insert(f"new{i}", 40, i % 5 + 1)
+        newest = snapshotter.save(kvs)
+        return snapshotter.path_for(newest)
+
+    def test_flipped_bit_in_pair_block_falls_back_a_generation(self,
+                                                               tmp_path):
+        path = self._two_generations(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[_first_block_offset(raw) + 8 + 20] ^= 0x08
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotCorruptError, match="checksum"):
+            load_snapshot(path)
+        target = build_kvs("camp", capacity=100_000)
+        report = RecoveryManager(tmp_path).recover_into(target)
+        assert report.generation == 1
+        assert report.corrupt_generations == [2]
+        assert "old0" in target and "new0" not in target
+        target.check_consistency()
+
+    def test_implausible_block_length_refused(self, tmp_path):
+        path = self._two_generations(tmp_path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, _first_block_offset(raw),
+                         MAX_RECORD_BYTES + 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotCorruptError, match="implausible"):
+            load_snapshot(path)
+
+    def test_missing_pair_block_refused(self, tmp_path):
+        path = self._two_generations(tmp_path)
+        raw = path.read_bytes()
+        start = _first_block_offset(raw)
+        length, _crc = struct.unpack_from("<II", raw, start)
+        path.write_bytes(raw[:start] + raw[start + 8 + length:])
+        with pytest.raises(SnapshotCorruptError):
+            load_snapshot(path)
+
+    def test_log_torn_at_every_offset_of_its_last_record(self, tmp_path):
+        kvs = build_kvs("lru")
+        kvs.insert("base", 10, 1)
+        Snapshotter(tmp_path).save(kvs)
+        path = log_path_for(tmp_path, 1)
+        with AppendOnlyLog(path) as log:
+            log.log_insert("a", 10, 1)
+            log.log_insert("b", 10, 2.5, ttl=60.0)
+            boundary = log.size_bytes()
+            log.log_insert("torn-ü", 10, 3, ttl=60.0)
+            whole = log.size_bytes()
+        intact = path.read_bytes()
+        for cut in range(boundary + 1, whole):
+            path.write_bytes(intact[:cut])
+            operations, clean, valid = read_log(path)
+            assert [op["k"] for op in operations] == ["a", "b"], cut
+            assert not clean and valid == boundary, cut
+            target = build_kvs("lru")
+            report = RecoveryManager(tmp_path).recover_into(target)
+            assert report.torn_tail_truncated and \
+                report.log_records_replayed == 2, cut
+            assert "b" in target and "torn-ü" not in target
+            assert path.stat().st_size == boundary, cut
+
+    def test_log_length_word_above_max_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "ops.log"
+        with AppendOnlyLog(path) as log:
+            log.log_insert("a", 10, 1)
+            boundary = log.size_bytes()
+            log.log_insert("b", 10, 1)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, boundary, MAX_RECORD_BYTES + 1)
+        path.write_bytes(bytes(raw))
+        operations, clean, valid = read_log(path)
+        assert [op["k"] for op in operations] == ["a"]
+        assert not clean and valid == boundary
+        assert AppendOnlyLog.repair(path) == (1, True)
+        assert path.stat().st_size == boundary
+
+    def test_zero_filled_log_tail_is_torn_not_fatal(self, tmp_path):
+        path = tmp_path / "ops.log"
+        with AppendOnlyLog(path) as log:
+            log.log_insert("a", 10, 1)
+            boundary = log.size_bytes()
+        with open(path, "ab") as handle:
+            handle.write(bytes(4096))
+        operations, clean, valid = read_log(path)
+        assert len(operations) == 1 and not clean and valid == boundary
+
+
+# ---------------------------------------------------------------------------
+# the GC pause around the bulk passes
+# ---------------------------------------------------------------------------
+class _GcWatchingLru(LruPolicy):
+    """LRU recording whether the cyclic GC ran during state export and
+    import."""
+
+    name = "lru"
+    seen = []
+
+    def export_state(self):
+        self.seen.append(("export", gc.isenabled()))
+        return super().export_state()
+
+    def import_state(self, state):
+        self.seen.append(("import", gc.isenabled()))
+        super().import_state(state)
+
+
+class TestGcPause:
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        was_enabled = gc.isenabled()
+        _GcWatchingLru.seen = []
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def _kvs(self):
+        kvs = KVS(10_000, _GcWatchingLru())
+        for i in range(20):
+            kvs.insert(f"k{i}", 40, 10)
+        return kvs
+
+    def test_context_restores_enabled_state_even_on_error(self):
+        gc.enable()
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                assert not gc.isenabled()
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+        gc.disable()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_save_and_recover_pause_then_reenable(self, tmp_path):
+        gc.enable()
+        Snapshotter(tmp_path).save(self._kvs())
+        assert gc.isenabled()
+        target = KVS(10_000, _GcWatchingLru())
+        RecoveryManager(tmp_path).recover_into(target)
+        assert gc.isenabled()
+        assert len(target) == 20
+        assert _GcWatchingLru.seen == [("export", False), ("import", False)]
+
+    def test_failed_save_reenables(self, tmp_path):
+        kvs = self._kvs()
+        gc.enable()
+        with inject(FaultPlan([Fault(kind="enospc", seam="file",
+                                     target="snap")])):
+            with pytest.raises(PersistenceError):
+                save_snapshot(tmp_path / "s.snap", kvs)
+        assert gc.isenabled()
+
+    def test_failed_recover_reenables(self, tmp_path):
+        Snapshotter(tmp_path).save(self._kvs())
+        gc.enable()
+        occupied = KVS(10_000, _GcWatchingLru())
+        occupied.insert("resident", 10, 1)
+        with pytest.raises(ConfigurationError, match="empty"):
+            RecoveryManager(tmp_path).recover_into(occupied)
+        assert gc.isenabled()
+
+    def test_caller_with_gc_disabled_keeps_it_disabled(self, tmp_path):
+        gc.disable()
+        Snapshotter(tmp_path).save(self._kvs())
+        assert not gc.isenabled()
+        with inject(FaultPlan([Fault(kind="enospc", seam="file",
+                                     target="snap")])):
+            with pytest.raises(PersistenceError):
+                Snapshotter(tmp_path).save(self._kvs())
+        assert not gc.isenabled()
+        RecoveryManager(tmp_path).recover_into(KVS(10_000, _GcWatchingLru()))
+        assert not gc.isenabled()
+
+
+# ---------------------------------------------------------------------------
+# format-1 state is refused by name and never touched
+# ---------------------------------------------------------------------------
+def _write_format_one_directory(directory):
+    """A state directory as the format-1 writer left it: JSON records
+    under the ``CAMPSNP1``/``CAMPAOL1`` magics."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / "snapshot-000001.snap", "wb") as handle:
+        handle.write(b"CAMPSNP1")
+        write_record(handle, {
+            "kind": "snapshot", "version": 1, "generation": 1,
+            "capacity": 10_000, "item_overhead": 0, "clock": 5.0,
+            "items": 1, "policy": {"policy": "lru",
+                                   "entries": [["a", 10, 1]]}})
+        write_record(handle, {"k": "a", "s": 10, "c": 1, "e": 0.0})
+        write_record(handle, {"kind": "footer", "items": 1})
+    with open(directory / "aol-000001.log", "wb") as handle:
+        handle.write(b"CAMPAOL1")
+        write_record(handle, {"op": "insert", "k": "b", "s": 10, "c": 1})
+    return {entry.name: entry.read_bytes()
+            for entry in sorted(directory.iterdir())}
+
+
+class TestFormatOneRefused:
+    def _unchanged(self, directory, before):
+        assert {entry.name: entry.read_bytes()
+                for entry in sorted(directory.iterdir())} == before
+
+    def test_recovery_refuses_and_leaves_files(self, tmp_path):
+        before = _write_format_one_directory(tmp_path)
+        with pytest.raises(UnsupportedFormatError, match="format-1"):
+            RecoveryManager(tmp_path).recover_into(build_kvs("lru"))
+        with pytest.raises(UnsupportedFormatError, match="CAMPSNP1"):
+            RecoveryManager(tmp_path).recover()
+        with pytest.raises(UnsupportedFormatError, match="CAMPSNP1"):
+            load_snapshot(tmp_path / "snapshot-000001.snap")
+        self._unchanged(tmp_path, before)
+
+    def test_store_build_refuses_with_or_without_recovery(self, tmp_path):
+        before = _write_format_one_directory(tmp_path)
+        for recover in (True, False):
+            with pytest.raises(UnsupportedFormatError, match="format-1"):
+                (StoreConfig(10_000).policy("lru")
+                 .persistence(tmp_path, recover=recover).build())
+        self._unchanged(tmp_path, before)
+
+    def test_log_repair_and_append_refuse(self, tmp_path):
+        before = _write_format_one_directory(tmp_path)
+        log = tmp_path / "aol-000001.log"
+        with pytest.raises(UnsupportedFormatError, match="CAMPAOL1"):
+            AppendOnlyLog.repair(log)
+        with pytest.raises(UnsupportedFormatError, match="CAMPAOL1"):
+            read_log(log)
+        with pytest.raises(UnsupportedFormatError, match="CAMPAOL1"):
+            AppendOnlyLog(log)
+        self._unchanged(tmp_path, before)
+
+    def test_inspect_names_the_format(self, tmp_path, capsys):
+        from repro.cli import main
+        before = _write_format_one_directory(tmp_path)
+        assert main(["persist", "inspect", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "generation 1: UNSUPPORTED" in out and "CAMPSNP1" in out
+        assert "log for generation 1: UNSUPPORTED" in out
+        self._unchanged(tmp_path, before)
+
+    def test_format_one_log_alone_is_refused(self, tmp_path):
+        before = _write_format_one_directory(tmp_path)
+        (tmp_path / "snapshot-000001.snap").unlink()
+        (tmp_path / "aol-000001.log").rename(tmp_path / "aol-000000.log")
+        before = {"aol-000000.log": before["aol-000001.log"]}
+        with pytest.raises(UnsupportedFormatError, match="CAMPAOL1"):
+            RecoveryManager(tmp_path).recover_into(build_kvs("lru"))
+        self._unchanged(tmp_path, before)
