@@ -1,9 +1,7 @@
-"""The KVS memory simulator, its metrics, and the hierarchical extension."""
+"""The KVS memory simulator, its metrics, and the Store facade over it."""
 
 from __future__ import annotations
 
-from repro.cache.hierarchy import (LookupOutcome, MultiLevelCache,
-                                    TwoLevelCache)
 from repro.cache.kvs import KVS, CacheListener
 from repro.cache.metrics import (
     OccupancyTracker,
@@ -31,7 +29,4 @@ __all__ = [
     "WindowedMetrics",
     "PerNamespaceMetrics",
     "default_namespace",
-    "TwoLevelCache",
-    "MultiLevelCache",
-    "LookupOutcome",
 ]

@@ -853,8 +853,13 @@ class StoreConfig:
             threshold = config["demote_min_cost_per_byte"]
             demotion_filter = (CostDensityFilter(threshold) if threshold > 0
                                else AlwaysDemote())
-        return TieredBackend(kvs, tier, demotion_filter=demotion_filter,
-                             l2_hit_cost_factor=config["l2_hit_cost_factor"])
+        try:
+            return TieredBackend(
+                kvs, tier, demotion_filter=demotion_filter,
+                l2_hit_cost_factor=config["l2_hit_cost_factor"])
+        except BaseException:
+            tier.close()   # a refused config must not leak the open segment
+            raise
 
     def build_async(self):
         """Build the same store wrapped for asyncio callers: an

@@ -18,7 +18,7 @@ Subcommands:
   id), optionally under cProfile (``--profile [out.prof]``)
 * ``cluster``     — the live multi-process tier: ``serve`` (spawn and
   supervise N CAMP server processes), ``bench`` (the
-  cluster-serving scaling/kill/rejoin tables), ``kill-node`` (SIGKILL
+  cluster-serving kill/rejoin tables), ``kill-node`` (SIGKILL
   one member of a running cluster by manifest — failover drill)
 """
 
@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "kill-node find the fleet")
     c_bench = cluster_sub.add_parser(
         "bench",
-        help="run the cluster-serving benchmark (scaling, kill drill, "
-             "warm rejoin)")
+        help="run the cluster-serving drills (kill one node, warm "
+             "rejoin)")
     c_bench.add_argument("--scale", default="default",
                          choices=("tiny", "default", "full"))
     c_bench.add_argument("--csv", action="store_true",

@@ -1,50 +1,19 @@
-"""Out-of-process cluster load driver: ``python -m repro.cluster.loadgen``.
+"""The shared key universe of the cluster drills.
 
-The first slice of ROADMAP item 2's load rig.  An in-process driver
-shares the GIL with nothing here (the servers are separate processes
-already), but it *would* share one CPU-bound event loop with the
-measurement logic — and more importantly a single driver process caps
-the offered load.  So the benchmark spawns one or more of these
-subprocesses; each runs a :class:`~repro.cluster.client.ClusterClient`
-over the same node map and reports JSON on stdout:
-
-``{"ops": …, "seconds": …, "batch_ms": […], "misses": …, "sets": …,
-"errors": …}``
-
-``batch_ms`` is the per-batch wall latency the benchmark turns into
-p50/p99.  ``errors`` counts *client-visible* failures — the kill-node
-drill gates this at exactly zero (a dead node must degrade to replica
-reads and recompute-style sets, never to an exception).
-
-The key/value/cost mapping lives in module functions (:func:`key_name`,
-:func:`value_for`, :func:`cost_for`) so drivers, benchmarks, and the
-warm-rejoin check all agree on what every key's bytes and CAMP cost
-should be.
+The kill drill, the warm-rejoin check, the chaos drill and their tests
+all need to agree on what every key's name, value bytes and CAMP cost
+are, so the mapping lives in module functions (:func:`key_name`,
+:func:`value_for`, :func:`cost_for`), next to the nearest-rank
+:func:`percentile` the chaos drill reports latencies with.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import os
-import random
-import subprocess
-import sys
-import tempfile
-import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Sequence
 
-from repro.cluster.client import ClusterClient
-
-__all__ = ["key_name", "value_for", "cost_for", "run_driver",
-           "run_drivers", "percentile", "main"]
-
-Number = Union[int, float]
+__all__ = ["key_name", "value_for", "cost_for", "percentile"]
 
 
-# ----------------------------------------------------------------------
-# the shared key universe
-# ----------------------------------------------------------------------
 def key_name(i: int) -> str:
     return f"k{i}"
 
@@ -62,125 +31,6 @@ def cost_for(i: int) -> int:
     return 1 + (i * 7) % 23
 
 
-# ----------------------------------------------------------------------
-# the driver body (runs inside the subprocess)
-# ----------------------------------------------------------------------
-async def _drive(config: Dict) -> Dict:
-    nodes = {name: (host, int(port))
-             for name, (host, port) in config["nodes"].items()}
-    keys = int(config.get("keys", 1000))
-    value_size = int(config.get("value_size", 100))
-    batch = int(config.get("batch", 64))
-    batches = int(config.get("batches", 50))
-    rng = random.Random(int(config.get("seed", 0)))
-    client = ClusterClient(nodes,
-                           replicas=int(config.get("replicas", 2)),
-                           pool_size=int(config.get("pool_size", 2)),
-                           timeout=float(config.get("timeout", 30.0)))
-    stats = {"ops": 0, "misses": 0, "sets": 0, "errors": 0}
-    batch_ms: List[float] = []
-    try:
-        if config.get("preload"):
-            entries = [(key_name(i), value_for(i, value_size), 0, 0,
-                        cost_for(i)) for i in range(keys)]
-            for lo in range(0, len(entries), 256):
-                stored = await client.set_many(entries[lo:lo + 256])
-                stats["sets"] += sum(stored)
-        started = time.perf_counter()
-        for _ in range(batches):
-            wanted = [rng.randrange(keys) for _ in range(batch)]
-            names = [key_name(i) for i in wanted]
-            t0 = time.perf_counter()
-            try:
-                found = await client.get_many(names)
-                # a miss is serviceable: recompute and re-set, exactly
-                # what an application does behind this cache
-                lost = [i for i, name in zip(wanted, names)
-                        if name not in found]
-                if lost:
-                    stats["misses"] += len(lost)
-                    stored = await client.set_many(
-                        [(key_name(i), value_for(i, value_size), 0, 0,
-                          cost_for(i)) for i in set(lost)])
-                    stats["sets"] += sum(stored)
-            except Exception:
-                stats["errors"] += 1
-            batch_ms.append((time.perf_counter() - t0) * 1000.0)
-            stats["ops"] += len(names)
-        stats["seconds"] = time.perf_counter() - started
-    finally:
-        await client.close()
-    stats["batch_ms"] = batch_ms
-    stats["counters"] = dict(client.counters)
-    return stats
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print("usage: python -m repro.cluster.loadgen <config.json>",
-              file=sys.stderr)
-        return 2
-    with open(argv[0], "r", encoding="utf-8") as handle:
-        config = json.load(handle)
-    result = asyncio.run(_drive(config))
-    print(json.dumps(result))
-    return 0
-
-
-# ----------------------------------------------------------------------
-# in-process orchestration helpers (used by benchmarks/experiments)
-# ----------------------------------------------------------------------
-def run_driver(config: Dict, timeout: float = 600.0) -> Dict:
-    """Run one driver subprocess to completion; returns its JSON stats."""
-    return run_drivers(config, drivers=1, timeout=timeout)[0]
-
-
-def run_drivers(config: Dict, drivers: int = 1,
-                timeout: float = 600.0) -> List[Dict]:
-    """Run ``drivers`` concurrent subprocesses over the same cluster.
-
-    Each gets a distinct seed (``seed + driver index``) so their key
-    streams differ; results come back in driver order.
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    processes: List[subprocess.Popen] = []
-    paths: List[str] = []
-    try:
-        for i in range(drivers):
-            body = dict(config)
-            body["seed"] = int(config.get("seed", 0)) + i
-            if i > 0:
-                body.pop("preload", None)   # only driver 0 preloads
-            fd, path = tempfile.mkstemp(suffix=".json",
-                                        prefix="repro-loadgen-")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(body, handle)
-            paths.append(path)
-            processes.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.cluster.loadgen", path],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
-        results: List[Dict] = []
-        for process in processes:
-            out, err = process.communicate(timeout=timeout)
-            if process.returncode != 0:
-                raise RuntimeError(
-                    f"loadgen driver failed ({process.returncode}): "
-                    f"{err.decode(errors='replace')[-2000:]}")
-            results.append(json.loads(out))
-        return results
-    finally:
-        for process in processes:
-            if process.poll() is None:      # pragma: no cover - timeout
-                process.kill()
-        for path in paths:
-            try:
-                os.unlink(path)
-            except OSError:                 # pragma: no cover
-                pass
-
-
 def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (q in [0, 100]) of a non-empty sample."""
     if not samples:
@@ -189,7 +39,3 @@ def percentile(samples: Sequence[float], q: float) -> float:
     rank = max(0, min(len(ordered) - 1,
                       int(round(q / 100.0 * (len(ordered) - 1)))))
     return ordered[rank]
-
-
-if __name__ == "__main__":
-    sys.exit(main())

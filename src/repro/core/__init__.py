@@ -1,7 +1,10 @@
-"""Eviction policies: CAMP, GDS and every baseline the paper evaluates.
+"""Eviction policies: CAMP, and the baselines its figures compare it with.
 
+The paper's comparisons need LRU, GDS (and its size-blind ancestor,
+Greedy Dual) and Pooled LRU; the ablations add GDSF, GD-Wheel and the
+clairvoyant Belady/offline-greedy.
 The registry (:func:`~repro.core.policy.make_policy`) builds policies by
-name with the store capacity, which several baselines need for budgets:
+name with the store capacity, which Pooled LRU needs for its budgets:
 
 >>> from repro.core import make_policy
 >>> camp = make_policy("camp", capacity=1 << 20, precision=5)
@@ -18,17 +21,13 @@ from repro.core.admission import (
     SecondHitAdmission,
     TinyLfuAdmission,
 )
-from repro.core.arc import ArcPolicy
 from repro.core.camp import CampPolicy
 from repro.core.concurrent import ShardedCampPolicy, ThreadSafePolicy
-from repro.core.fifo import FifoPolicy
 from repro.core.gd_wheel import GdWheelPolicy
 from repro.core.gds import GdsPolicy
 from repro.core.gdsf import GdsfPolicy
 from repro.core.greedy_dual import GreedyDualPolicy
-from repro.core.lfu import LfuPolicy
 from repro.core.lru import LruPolicy
-from repro.core.lru_k import LruKPolicy
 from repro.core.opt import BeladyPolicy, OfflineGreedyPolicy, next_use_schedule
 from repro.core.policy import (
     CacheItem,
@@ -52,9 +51,6 @@ from repro.core.rounding import (
     regular_rounding,
     round_to_precision,
 )
-from repro.core.random_policy import RandomPolicy
-from repro.core.slru import SlruPolicy
-from repro.core.two_q import TwoQPolicy
 
 __all__ = [
     "CacheItem",
@@ -68,18 +64,11 @@ __all__ = [
     "GdsfPolicy",
     "GdWheelPolicy",
     "LruPolicy",
-    "FifoPolicy",
-    "LfuPolicy",
-    "LruKPolicy",
-    "TwoQPolicy",
-    "ArcPolicy",
     "PooledLruPolicy",
     "PoolSpec",
     "pools_from_cost_values",
     "pools_from_cost_ranges",
     "cost_proportional_fractions",
-    "SlruPolicy",
-    "RandomPolicy",
     "BeladyPolicy",
     "OfflineGreedyPolicy",
     "next_use_schedule",
@@ -119,14 +108,7 @@ register_policy("greedy-dual", lambda capacity, **kw: GreedyDualPolicy(**kw))
 register_policy("gdsf", lambda capacity, **kw: GdsfPolicy(**kw))
 register_policy("gd-wheel", lambda capacity, **kw: GdWheelPolicy(**kw))
 register_policy("lru", lambda capacity, **kw: LruPolicy(**kw))
-register_policy("fifo", lambda capacity, **kw: FifoPolicy(**kw))
-register_policy("lfu", lambda capacity, **kw: LfuPolicy(**kw))
-register_policy("lru-k", lambda capacity, **kw: LruKPolicy(**kw))
-register_policy("2q", lambda capacity, **kw: TwoQPolicy(capacity, **kw))
-register_policy("arc", lambda capacity, **kw: ArcPolicy(capacity, **kw))
 register_policy("pooled-lru", _default_pools)
 register_policy("camp-sharded", lambda capacity, **kw: ShardedCampPolicy(**kw))
-register_policy("slru", lambda capacity, **kw: SlruPolicy(capacity, **kw))
-register_policy("random", lambda capacity, **kw: RandomPolicy(**kw))
 # Belady / offline-greedy need the whole trace in advance, so they are not
 # registered; build them with BeladyPolicy.from_trace(trace).

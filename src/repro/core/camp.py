@@ -42,8 +42,9 @@ stale ones outnumber them by more than :data:`STALE_SLACK`, so it never
 holds more than twice the live queue count plus that slack.
 
 ``stats=True`` (the default) additionally replays every queue-head event
-— push, re-key, remove — into a counting addressable heap of the chosen
-``heap_kind``, keyed by the same tuples (their unique ``(h, seq)`` decides
+— push, re-key, remove — into a counting
+:class:`~repro.structures.dary_heap.DaryHeap` of the chosen ``arity``,
+keyed by the same tuples (their unique ``(h, seq)`` decides
 every comparison): a mirror that only measures, so ``heap_node_visits`` and
 ``heap_updates`` keep the seed's Figure 4 meaning while decisions always
 come from the :mod:`heapq` index.  Decision equivalence with the
@@ -65,7 +66,7 @@ from repro.errors import (
     EvictionError,
     MissingKeyError,
 )
-from repro.structures import DList, DListNode, make_heap
+from repro.structures import DaryHeap, DList, DListNode, HeapEntry
 
 __all__ = ["CampPolicy"]
 
@@ -129,7 +130,6 @@ class CampPolicy(EvictionPolicy):
 
     def __init__(self,
                  precision: Optional[int] = 5,
-                 heap_kind: str = "dary",
                  arity: int = 8,
                  reround_on_hit: bool = True,
                  converter: Optional[RatioConverter] = None,
@@ -143,9 +143,9 @@ class CampPolicy(EvictionPolicy):
 
         ``stats`` toggles measurement accounting (heap ``node_visits``,
         ``heap_updates``, per-queue creation counters), which the
-        ``heap_kind``/``arity`` heap mirror counts.  Figures keep the
-        default; production stores pass ``stats=False`` and the counters
-        cost nothing — eviction decisions are identical either way.
+        ``arity``-ary heap mirror counts.  Figures keep the default;
+        production stores pass ``stats=False`` and the counters cost
+        nothing — eviction decisions are identical either way.
         """
         if precision is not None and precision < 1:
             raise ConfigurationError(
@@ -154,10 +154,9 @@ class CampPolicy(EvictionPolicy):
         self._stats = stats
         # the deciding queue-head index: a heapq list of (h, seq, head)
         self._index: List[Tuple[int, int, _CampEntry]] = []
-        # built either way, so a bad heap_kind/arity fails here; only fed
-        # (and so only counting) with stats on
-        self._mirror = make_heap(heap_kind, arity=arity)
-        self._entry_factory = type(self._mirror).entry_type
+        # built either way, so a bad arity fails here; only fed (and so
+        # only counting) with stats on
+        self._mirror = DaryHeap(arity=arity)
         self._entries: Dict[str, _CampEntry] = {}
         self._queues: Dict[int, _CampQueue] = {}
         # recycled queue shells: under eviction pressure queues run short
@@ -254,7 +253,7 @@ class CampPolicy(EvictionPolicy):
             top = self._set_top(queue, entry)
             if self._stats:
                 if queue.handle is None:
-                    queue.handle = self._entry_factory(top, queue)
+                    queue.handle = HeapEntry(top, queue)
                 else:
                     queue.handle.priority = top
                 self._mirror.push(queue.handle)

@@ -29,7 +29,7 @@ from repro.errors import (
     EvictionError,
     MissingKeyError,
 )
-from repro.structures import DList, DListNode, make_heap
+from repro.structures import DaryHeap, DList, DListNode, HeapEntry
 
 __all__ = ["ReferenceCampPolicy"]
 
@@ -72,7 +72,6 @@ class ReferenceCampPolicy(EvictionPolicy):
 
     def __init__(self,
                  precision: Optional[int] = 5,
-                 heap_kind: str = "dary",
                  arity: int = 8,
                  reround_on_hit: bool = True,
                  converter: Optional[RatioConverter] = None) -> None:
@@ -87,8 +86,7 @@ class ReferenceCampPolicy(EvictionPolicy):
             raise ConfigurationError(
                 f"precision must be >= 1 or None, got {precision}")
         self._precision = precision
-        self._heap = make_heap(heap_kind, arity=arity)
-        self._entry_factory = type(self._heap).entry_type
+        self._heap = DaryHeap(arity=arity)
         self._entries: Dict[str, _CampEntry] = {}
         self._queues: Dict[int, _CampQueue] = {}
         self._reround_on_hit = reround_on_hit
@@ -116,7 +114,7 @@ class ReferenceCampPolicy(EvictionPolicy):
             queue = _CampQueue(entry.ratio_key)
             self._queues[entry.ratio_key] = queue
             queue.items.append(entry)
-            queue.handle = self._entry_factory(queue.head_priority(), queue)
+            queue.handle = HeapEntry(queue.head_priority(), queue)
             self._heap.push(queue.handle)
             self._heap_updates += 1
             self._queues_created += 1

@@ -145,14 +145,13 @@ class ShardedCampPolicy(EvictionPolicy):
     def __init__(self,
                  shards: int = 4,
                  precision: Optional[int] = 5,
-                 heap_kind: str = "dary",
                  arity: int = 8,
                  stats: bool = True) -> None:
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         converter = RatioConverter()
         self._shards: List[CampPolicy] = [
-            CampPolicy(precision=precision, heap_kind=heap_kind, arity=arity,
+            CampPolicy(precision=precision, arity=arity,
                        converter=converter, stats=stats)
             for _ in range(shards)]
         self._locks = [threading.Lock() for _ in range(shards)]

@@ -8,8 +8,9 @@ fits, updating ``L`` to the new minimum after each eviction (line 6).
 
 This implementation keeps all resident pairs in one addressable heap (the
 paper's straightforward structure of Figure 1a), so a hit costs a full heap
-update — the inefficiency CAMP removes.  The heap backend is pluggable
-(8-ary implicit by default) and counts node visits for Figure 4.
+update — the inefficiency CAMP removes.  The heap is the 8-ary implicit
+:class:`~repro.structures.dary_heap.DaryHeap` (``arity`` sets its
+branching factor) and counts node visits for Figure 4.
 
 Two faithfulness knobs:
 
@@ -36,7 +37,7 @@ from repro.errors import (
     EvictionError,
     MissingKeyError,
 )
-from repro.structures import make_heap
+from repro.structures import DaryHeap, HeapEntry
 
 __all__ = ["GdsPolicy"]
 
@@ -49,13 +50,11 @@ class GdsPolicy(EvictionPolicy):
     name = "gds"
 
     def __init__(self,
-                 heap_kind: str = "dary",
                  arity: int = 8,
                  integerize: bool = True,
                  converter: Optional[RatioConverter] = None) -> None:
-        self._heap = make_heap(heap_kind, arity=arity)
-        self._entry_type = type(self._heap).entry_type
-        self._entries: Dict[str, object] = {}
+        self._heap = DaryHeap(arity=arity)
+        self._entries: Dict[str, HeapEntry] = {}
         self._integerize = integerize
         self._converter = converter if converter is not None else RatioConverter()
         self._L: Number = 0
@@ -100,7 +99,7 @@ class GdsPolicy(EvictionPolicy):
         self._seq += 1
         item = CacheItem(key, size, cost)
         self._converter.observe(size)
-        entry = self._entry_type((self._L + self._ratio(item), self._seq), item)
+        entry = HeapEntry((self._L + self._ratio(item), self._seq), item)
         self._heap.push(entry)
         self._entries[key] = entry
         self._heap_updates += 1
@@ -188,8 +187,8 @@ class GdsPolicy(EvictionPolicy):
             key = row[0]
             if key in self._entries:
                 raise ConfigurationError(f"snapshot lists {key!r} twice")
-            entry = self._entry_type((row[3], row[4]),
-                                     CacheItem(key, row[1], row[2]))
+            entry = HeapEntry((row[3], row[4]),
+                              CacheItem(key, row[1], row[2]))
             self._heap.push(entry)
             self._entries[key] = entry
 

@@ -34,7 +34,7 @@ from repro.errors import (
     EvictionError,
     MissingKeyError,
 )
-from repro.structures import make_heap
+from repro.structures import DaryHeap, HeapEntry
 from repro.workloads.trace import TraceRecord
 
 __all__ = ["BeladyPolicy", "OfflineGreedyPolicy", "next_use_schedule"]
@@ -61,9 +61,8 @@ class _ClairvoyantBase(EvictionPolicy):
         self._schedule = {key: deque(positions)
                           for key, positions in next_uses.items()}
         self._clock = 0   # index of the *next* request to be processed
-        self._heap = make_heap("dary", arity=8)
-        self._entry_type = type(self._heap).entry_type
-        self._entries: Dict[str, object] = {}
+        self._heap = DaryHeap(arity=8)
+        self._entries: Dict[str, HeapEntry] = {}
 
     @classmethod
     def from_trace(cls, trace: Iterable[TraceRecord], **kwargs):
@@ -99,7 +98,7 @@ class _ClairvoyantBase(EvictionPolicy):
             raise DuplicateKeyError(key)
         self._advance(key)
         item = CacheItem(key, size, cost)
-        entry = self._entry_type(self._priority(key, item), item)
+        entry = HeapEntry(self._priority(key, item), item)
         self._heap.push(entry)
         self._entries[key] = entry
 

@@ -167,8 +167,8 @@ class EvictionPolicy(ABC):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-# Factories receive the store capacity in bytes (several baselines need it
-# for pool budgets or ghost-list sizing) plus free-form keyword overrides.
+# Factories receive the store capacity in bytes (Pooled LRU needs it for
+# its pool budgets) plus free-form keyword overrides.
 PolicyFactory = Callable[..., EvictionPolicy]
 
 _REGISTRY: Dict[str, PolicyFactory] = {}

@@ -1,8 +1,8 @@
 """Ablations of the design choices DESIGN.md calls out (not paper figures).
 
-* heap backend/arity — the paper picked an 8-ary implicit heap citing
-  Larkin/Sen/Tarjan; compare 2-ary, 8-ary, pairing and Fibonacci on GDS
-  node visits and wall time.
+* heap arity — the paper picked an 8-ary implicit heap citing
+  Larkin/Sen/Tarjan; compare it with a 2-ary one on GDS and CAMP node
+  visits and wall time.
 * rounding scheme — CAMP's MSB-preserving rounding vs naive low-bit
   truncation (Table 1's "regular rounding") plugged into CAMP.
 * admission control — the section 6 future-work idea, on CAMP and LRU.
@@ -42,16 +42,13 @@ RATIO = 0.25
 def run_heap_ablation(scale: str = "default") -> List[Table]:
     trace = primary_trace(scale)
     table = Table(
-        "Ablation — heap backend under GDS and CAMP (cache ratio 0.25)",
+        "Ablation — heap arity under GDS and CAMP (cache ratio 0.25)",
         ["policy", "backend", "node_visits", "wall_seconds",
          "cost_miss_ratio"])
-    backends = [("dary-8", dict(heap_kind="dary", arity=8)),
-                ("dary-2", dict(heap_kind="binary")),
-                ("pairing", dict(heap_kind="pairing")),
-                ("fibonacci", dict(heap_kind="fibonacci"))]
-    for label, kwargs in backends:
-        for name, policy in (("gds", GdsPolicy(**kwargs)),
-                             ("camp", CampPolicy(precision=5, **kwargs))):
+    for arity in (8, 2):
+        label = f"dary-{arity}"
+        for name, policy in (("gds", GdsPolicy(arity=arity)),
+                             ("camp", CampPolicy(precision=5, arity=arity))):
             result = run_policy_on_trace(policy, trace, RATIO)
             table.add_row(name, label,
                           result.policy_stats["heap_node_visits"],

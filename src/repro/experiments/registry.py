@@ -80,7 +80,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
               "Twemcache implementation: cost-miss ratio, run time, miss rate",
               fig9.run),
         _spec("ablation-heap", "design choice",
-              "Heap backend/arity under GDS and CAMP",
+              "Heap arity (8 vs 2) under GDS and CAMP",
               ablations.run_heap_ablation),
         _spec("ablation-rounding", "design choice",
               "MSB-preserving rounding vs regular truncation",
@@ -106,8 +106,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
               "recovery",
               tiered_module.run),
         _spec("cluster-serving", "section 6 ext.",
-              "Live cluster tier: 1->3 process scaling, kill-one-node "
-              "drill, warm rejoin",
+              "Live cluster tier: kill-one-node drill, warm rejoin",
               cluster_serving_module.run),
         _spec("cluster-chaos", "section 6 ext.",
               "Seeded chaos drill: kill + stall under load; hinted "

@@ -1,8 +1,7 @@
 """``repro.tiering`` — a DRAM-over-disk victim tier that holds real values.
 
 The paper's section 6 names a hierarchical cache ("using SSD, hard disk,
-or both") as CAMP's natural extension.  :mod:`repro.cache.hierarchy`
-simulates that idea with metadata only; this package *implements* it:
+or both") as CAMP's natural extension; this package implements it:
 
 * :class:`~repro.tiering.disk_tier.DiskTier` — an append-only on-disk
   store of demoted values: segment files reusing the CRC-framed record

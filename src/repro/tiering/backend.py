@@ -20,8 +20,8 @@ The stacking contract:
   tombstones any stale disk copy, and demotion only happens as the key
   leaves L1.
 * **Charging.** ``l2_hit_cost_factor`` prices a disk hit as a fraction
-  of the item's recompute cost (the hierarchy simulation's discount);
-  the Store reads it off this backend to feed
+  of the item's recompute cost (reading from disk is cheaper than
+  recomputing, but not free); the Store reads it off this backend to feed
   ``SimulationMetrics.record_l2``.
 
 The backend is not internally synchronized — the Store lock (or the

@@ -1,4 +1,4 @@
-"""LRU / FIFO / LFU tests, including an LRU-vs-OrderedDict oracle."""
+"""LRU tests, including an LRU-vs-OrderedDict oracle."""
 
 from collections import OrderedDict
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FifoPolicy, LfuPolicy, LruPolicy
+from repro.core import LruPolicy
 from repro.errors import DuplicateKeyError, EvictionError, MissingKeyError
 
 
@@ -70,110 +70,3 @@ class TestLru:
                 del oracle[key]
             assert len(lru) == len(oracle)
             assert list(lru.keys_lru_to_mru()) == list(oracle.keys())
-
-
-class TestFifo:
-    def test_hits_do_not_reorder(self):
-        fifo = FifoPolicy()
-        for key in "abc":
-            fifo.on_insert(key, 1, 1)
-        fifo.on_hit("a")
-        fifo.on_hit("a")
-        assert fifo.pop_victim() == "a"
-
-    def test_insertion_order_eviction(self):
-        fifo = FifoPolicy()
-        for key in "abcd":
-            fifo.on_insert(key, 1, 1)
-        assert [fifo.pop_victim() for _ in range(4)] == list("abcd")
-
-    def test_remove_mid_queue(self):
-        fifo = FifoPolicy()
-        for key in "abc":
-            fifo.on_insert(key, 1, 1)
-        fifo.on_remove("a")
-        assert fifo.pop_victim() == "b"
-
-    def test_errors(self):
-        fifo = FifoPolicy()
-        with pytest.raises(EvictionError):
-            fifo.pop_victim()
-        with pytest.raises(MissingKeyError):
-            fifo.on_hit("ghost")
-
-
-class TestLfu:
-    def test_evicts_least_frequent(self):
-        lfu = LfuPolicy()
-        for key in "abc":
-            lfu.on_insert(key, 1, 1)
-        lfu.on_hit("a")
-        lfu.on_hit("a")
-        lfu.on_hit("b")
-        assert lfu.pop_victim() == "c"
-        assert lfu.pop_victim() == "b"
-        assert lfu.pop_victim() == "a"
-
-    def test_tie_breaks_by_recency_of_insertion(self):
-        lfu = LfuPolicy()
-        lfu.on_insert("old", 1, 1)
-        lfu.on_insert("new", 1, 1)
-        assert lfu.pop_victim() == "old"
-
-    def test_frequency_counter(self):
-        lfu = LfuPolicy()
-        lfu.on_insert("a", 1, 1)
-        assert lfu.frequency_of("a") == 1
-        lfu.on_hit("a")
-        assert lfu.frequency_of("a") == 2
-
-    def test_min_freq_recovers_after_bucket_drain(self):
-        lfu = LfuPolicy()
-        lfu.on_insert("a", 1, 1)
-        lfu.on_hit("a")          # a at freq 2
-        lfu.on_insert("b", 1, 1)  # b at freq 1
-        assert lfu.pop_victim() == "b"
-        assert lfu.pop_victim() == "a"
-
-    def test_remove_updates_buckets(self):
-        lfu = LfuPolicy()
-        lfu.on_insert("a", 1, 1)
-        lfu.on_insert("b", 1, 1)
-        lfu.on_hit("a")
-        lfu.on_remove("b")
-        assert lfu.pop_victim() == "a"
-
-    def test_errors(self):
-        lfu = LfuPolicy()
-        with pytest.raises(EvictionError):
-            lfu.pop_victim()
-        with pytest.raises(MissingKeyError):
-            lfu.frequency_of("x")
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["touch", "insert", "evict"]),
-                              st.integers(0, 10)),
-                    max_size=120))
-    def test_matches_naive_oracle(self, ops):
-        """LFU victim = minimum (freq, last-insert-order among that freq)."""
-        lfu = LfuPolicy()
-        freqs = {}
-        arrival = {}  # key -> bucket arrival counter
-        clock = 0
-        for op, key_id in ops:
-            key = f"k{key_id}"
-            clock += 1
-            if op == "insert" and key not in freqs:
-                lfu.on_insert(key, 1, 1)
-                freqs[key] = 1
-                arrival[key] = clock
-            elif op == "touch" and key in freqs:
-                lfu.on_hit(key)
-                freqs[key] += 1
-                arrival[key] = clock
-            elif op == "evict" and freqs:
-                expected = min(freqs, key=lambda k: (freqs[k], arrival[k]))
-                assert lfu.pop_victim() == expected
-                del freqs[expected]
-                del arrival[expected]
-            assert len(lfu) == len(freqs)

@@ -73,7 +73,7 @@ class TestCommands:
         main(["gen-trace", "three-cost", path,
               "--keys", "50", "--requests", "400"])
         capsys.readouterr()
-        for policy in ("lru", "gds", "pooled-lru", "arc"):
+        for policy in ("lru", "gds", "pooled-lru", "gdsf"):
             assert main(["simulate", path, "--policy", policy]) == 0
             capsys.readouterr()
 

@@ -1,5 +1,5 @@
-"""Tests for the extension round: count-min/TinyLFU, SLRU, Random,
-trace analysis, windowed metrics, and the decision-agreement tool."""
+"""Tests for the extension round: count-min/TinyLFU, trace analysis,
+windowed metrics, and the decision-agreement tool."""
 
 import random
 
@@ -12,12 +12,9 @@ from repro.core import (
     CampPolicy,
     GdsPolicy,
     LruPolicy,
-    RandomPolicy,
-    SlruPolicy,
     TinyLfuAdmission,
-    make_policy,
 )
-from repro.errors import ConfigurationError, EvictionError, MissingKeyError
+from repro.errors import ConfigurationError
 from repro.sim import eviction_agreement
 from repro.structures import CountMinSketch
 from repro.workloads import (
@@ -103,105 +100,6 @@ class TestTinyLfuAdmission:
     def test_invalid_threshold(self):
         with pytest.raises(ConfigurationError):
             TinyLfuAdmission(threshold=0)
-
-
-class TestSlru:
-    def test_first_timers_probationary(self):
-        slru = SlruPolicy(capacity=100)
-        slru.on_insert("a", 10, 1)
-        assert slru.stats()["probation_items"] == 1
-
-    def test_hit_promotes(self):
-        slru = SlruPolicy(capacity=100)
-        slru.on_insert("a", 10, 1)
-        slru.on_hit("a")
-        assert slru.stats()["protected_items"] == 1
-
-    def test_scan_resistance(self):
-        """One-shot keys churn probation, leaving protected keys alone."""
-        slru = SlruPolicy(capacity=100, protected_fraction=0.5)
-        slru.on_insert("vip", 10, 1)
-        slru.on_hit("vip")   # protected
-        victims = []
-        for i in range(30):
-            slru.on_insert(f"scan{i}", 10, 1)
-            while len(slru) > 5:
-                victims.append(slru.pop_victim())
-        assert "vip" not in victims
-
-    def test_protected_overflow_demotes(self):
-        slru = SlruPolicy(capacity=100, protected_fraction=0.3)  # 30 bytes
-        for key in ("a", "b", "c", "d"):
-            slru.on_insert(key, 15, 1)
-            slru.on_hit(key)   # everyone wants protection (15B each)
-        stats = slru.stats()
-        assert stats["protected_bytes"] <= 45   # 30 budget + one overshoot
-        assert stats["probation_items"] >= 1
-
-    def test_victims_probation_first(self):
-        slru = SlruPolicy(capacity=100)
-        slru.on_insert("prob", 10, 1)
-        slru.on_insert("prot", 10, 1)
-        slru.on_hit("prot")
-        assert slru.pop_victim() == "prob"
-        assert slru.pop_victim() == "prot"
-
-    def test_remove_from_both_segments(self):
-        slru = SlruPolicy(capacity=100)
-        slru.on_insert("a", 10, 1)
-        slru.on_insert("b", 10, 1)
-        slru.on_hit("b")
-        slru.on_remove("a")
-        slru.on_remove("b")
-        assert len(slru) == 0
-        assert slru.stats()["protected_bytes"] == 0
-
-    def test_errors(self):
-        slru = SlruPolicy(capacity=100)
-        with pytest.raises(EvictionError):
-            slru.pop_victim()
-        with pytest.raises(MissingKeyError):
-            slru.on_hit("x")
-        with pytest.raises(ConfigurationError):
-            SlruPolicy(capacity=0)
-        with pytest.raises(ConfigurationError):
-            SlruPolicy(capacity=10, protected_fraction=1.5)
-
-    def test_registered(self):
-        policy = make_policy("slru", 1000)
-        policy.on_insert("a", 10, 1)
-        assert len(policy) == 1
-
-
-class TestRandomPolicy:
-    def test_deterministic_with_seed(self):
-        a, b = RandomPolicy(seed=3), RandomPolicy(seed=3)
-        for policy in (a, b):
-            for i in range(20):
-                policy.on_insert(f"k{i}", 1, 1)
-        assert [a.pop_victim() for _ in range(20)] == \
-            [b.pop_victim() for _ in range(20)]
-
-    def test_every_key_evictable(self):
-        policy = RandomPolicy(seed=1)
-        keys = {f"k{i}" for i in range(50)}
-        for key in keys:
-            policy.on_insert(key, 1, 1)
-        assert {policy.pop_victim() for _ in range(50)} == keys
-
-    def test_remove_keeps_structures_consistent(self):
-        policy = RandomPolicy(seed=2)
-        for i in range(10):
-            policy.on_insert(f"k{i}", 1, 1)
-        policy.on_remove("k5")
-        assert "k5" not in policy
-        drained = {policy.pop_victim() for _ in range(9)}
-        assert "k5" not in drained
-
-    def test_registered(self):
-        policy = make_policy("random", 1000)
-        policy.on_insert("a", 1, 1)
-        assert policy.pop_victim() == "a"
 
 
 class TestTraceAnalysis:

@@ -1,8 +1,9 @@
-"""Unit and property tests shared by all three heap backends.
+"""Unit and property tests of the addressable d-ary heap.
 
-Every heap (8-ary implicit, pairing, Fibonacci) must behave identically to
-a sorted-list oracle under arbitrary interleavings of push / pop / update /
-remove — eviction policies are built directly on that contract.
+The heap, at the paper's arity 8 and as a binary heap, must behave
+identically to a sorted-list oracle under arbitrary interleavings of
+push / pop / update / remove — eviction policies are built directly on
+that contract.
 """
 
 import random
@@ -11,23 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CampPolicy, GdsPolicy, ShardedCampPolicy
+from repro.core.camp_reference import ReferenceCampPolicy
 from repro.errors import ReproError
-from repro.structures import make_heap, HEAP_KINDS
+from repro.structures import DaryHeap, HeapEntry
 
-BACKENDS = ["dary", "binary", "pairing", "fibonacci"]
-
-
-def build(kind):
-    return make_heap(kind)
+#: the paper's 8-ary heap and a binary one
+ARITIES, ARITY_IDS = [8, 2], ["dary", "binary"]
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=ARITIES, ids=ARITY_IDS)
 def heap(request):
-    return build(request.param)
+    return DaryHeap(arity=request.param)
 
 
 def new_entry(heap, priority, item=None):
-    return type(heap).entry_type(priority, item)
+    return HeapEntry(priority, item)
 
 
 class TestBasicOperations:
@@ -194,25 +194,27 @@ class TestVisitCounting:
 
 class TestArityConfiguration:
     def test_binary_is_arity_two(self):
-        h = make_heap("binary")
-        assert h.arity == 2
+        """Every heap-backed policy builds its heap at the arity it is given."""
+        assert DaryHeap(arity=2).arity == 2
+        assert GdsPolicy(arity=2)._heap.arity == 2
+        assert CampPolicy(arity=2)._mirror.arity == 2
+        assert ReferenceCampPolicy(arity=2)._heap.arity == 2
+        assert all(shard._mirror.arity == 2
+                   for shard in ShardedCampPolicy(arity=2)._shards)
 
     def test_dary_default_is_eight(self):
-        h = make_heap("dary")
-        assert h.arity == 8
-
-    def test_invalid_kind_raises(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            make_heap("splay")
+        assert DaryHeap().arity == 8
+        assert GdsPolicy()._heap.arity == 8
+        assert CampPolicy()._mirror.arity == 8
+        assert ReferenceCampPolicy()._heap.arity == 8
 
     def test_invalid_arity_raises(self):
         with pytest.raises(ReproError):
-            make_heap("dary", arity=1)
-
-    def test_kind_list_is_accurate(self):
-        for kind in HEAP_KINDS:
-            assert make_heap(kind) is not None
+            DaryHeap(arity=1)
+        with pytest.raises(ReproError):
+            GdsPolicy(arity=1)
+        with pytest.raises(ReproError):
+            CampPolicy(arity=1)
 
 
 @st.composite
@@ -225,12 +227,12 @@ def operation_sequences(draw):
     return ops
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("arity", ARITIES, ids=ARITY_IDS)
 @settings(max_examples=60, deadline=None)
 @given(ops=operation_sequences())
-def test_heap_matches_sorted_oracle(kind, ops):
+def test_heap_matches_sorted_oracle(arity, ops):
     """Drive the heap and a list oracle with the same operation stream."""
-    heap = build(kind)
+    heap = DaryHeap(arity=arity)
     live = []  # entries currently in the heap
     rng = random.Random(1234)
     for op, val in ops:
@@ -252,17 +254,16 @@ def test_heap_matches_sorted_oracle(kind, ops):
         assert len(heap) == len(live)
         if live:
             assert heap.peek().priority == min(x.priority for x in live)
-        if hasattr(heap, "check_invariants"):
-            heap.check_invariants()
+        heap.check_invariants()
     # drain: must come out sorted
     drained = [heap.pop().priority for _ in range(len(heap))]
     assert drained == sorted(drained)
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_large_random_stress(kind):
+@pytest.mark.parametrize("arity", ARITIES, ids=ARITY_IDS)
+def test_large_random_stress(arity):
     """10k mixed operations against the oracle with a fixed seed."""
-    heap = build(kind)
+    heap = DaryHeap(arity=arity)
     rng = random.Random(99)
     live = []
     for step in range(10_000):

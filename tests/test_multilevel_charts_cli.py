@@ -1,73 +1,100 @@
-"""Tests for the N-level hierarchy, ASCII charts and new CLI verbs."""
+"""Tests for the DRAM-over-disk hierarchy, ASCII charts and new CLI verbs."""
 
 import pytest
 
 from repro.analysis import ascii_chart
-from repro.cache import KVS, MultiLevelCache
+from repro.cache import Outcome, StoreConfig
 from repro.cli import main
-from repro.core import CampPolicy, LruPolicy
 from repro.errors import ConfigurationError
+from repro.tiering import DiskTier, TieredBackend
 
 
-def three_levels(c1=50, c2=200, c3=1000):
-    stores = [KVS(c1, CampPolicy()), KVS(c2, CampPolicy()),
-              KVS(c3, CampPolicy())]
-    return MultiLevelCache(stores, [0.0, 0.1, 0.4])
+@pytest.fixture
+def two_levels(tmp_path):
+    """Factory for CAMP tiered stores with payloads; closes every tier."""
+    stores = []
+
+    def factory(c1=50, c2=1000, factor=0.1):
+        store = (StoreConfig(c1).policy("camp").track_metrics()
+                 .tiered(str(tmp_path / f"tier-{len(stores)}"), c2,
+                         l2_hit_cost_factor=factor, recover=False)
+                 .build())
+        stores.append(store)
+        return store
+
+    yield factory
+    for store in stores:
+        store.kvs.close()
+
+
+def payload(key):
+    return f"value of {key}".encode().ljust(30, b".")
+
+
+def never_called(key):
+    pytest.fail(f"{key} recomputed instead of served from a level")
 
 
 class TestMultiLevelCache:
-    def test_miss_fills_level1(self):
-        cache = three_levels()
-        outcome = cache.lookup("a", 30, 100)
-        assert outcome.level == 0
-        assert outcome.charged_cost == 100.0
-        assert cache.resident_level("a") == 1
+    """The values themselves, not only the metadata, move between levels."""
 
-    def test_cascade_demotion(self):
-        cache = three_levels(c1=50)
-        for key in ("a", "b", "c", "d"):
-            cache.lookup(key, 30, 100)
-        # level 1 holds one 30-byte pair; earlier pairs cascaded to level 2
-        assert cache.demotions >= 3
-        levels = {key: cache.resident_level(key) for key in "abcd"}
-        assert levels["d"] == 1
-        assert all(level in (1, 2, 3) for level in levels.values())
+    def test_miss_fills_level1(self, two_levels):
+        store = two_levels()
+        result = store.get_or_compute("a", payload, size=30, cost=100)
+        assert result.outcome is Outcome.MISS_INSERTED
+        assert result.value == payload("a")
+        assert store.kvs.resident_level("a") == 1
+        assert len(store.kvs.tier) == 0
 
-    def test_hit_at_depth_promotes_and_discounts(self):
-        cache = three_levels(c1=50)
-        for key in ("a", "b", "c"):
-            cache.lookup(key, 30, 100)
-        demoted = next(k for k in "ab" if cache.resident_level(k) == 2)
-        outcome = cache.lookup(demoted, 30, 100)
-        assert outcome.level == 2
-        assert outcome.charged_cost == pytest.approx(10.0)
-        assert cache.resident_level(demoted) == 1
-        assert cache.promotions == 1
+    def test_cascade_demotion(self, two_levels):
+        store = two_levels(c1=50)
+        for key in "abcd":
+            store.put(key, 30, 100, value=payload(key))
+        # level 1 holds one 30-byte pair; earlier pairs cascaded to disk
+        assert store.kvs.demotions >= 3
+        levels = {key: store.kvs.resident_level(key) for key in "abcd"}
+        assert levels == {"a": 2, "b": 2, "c": 2, "d": 1}
+        for key in "abc":
+            assert store.kvs.value_of(key) == payload(key)
 
-    def test_deep_demotion_reaches_level3(self):
-        cache = three_levels(c1=40, c2=40, c3=1000)
-        for i in range(8):
-            cache.lookup(f"k{i}", 30, 100)
-        levels = [cache.resident_level(f"k{i}") for i in range(8)]
-        assert 3 in levels
+    def test_hit_at_depth_promotes_and_discounts(self, two_levels):
+        store = two_levels(c1=50)
+        for key in "abc":
+            store.get_or_compute(key, payload, size=30, cost=100)
+        demoted = next(k for k in "ab" if store.kvs.resident_level(k) == 2)
+        charged = store.metrics.total_miss_cost
+        result = store.get_or_compute(demoted, never_called,
+                                      size=30, cost=100)
+        assert result.outcome is Outcome.HIT_L2
+        assert result.value == payload(demoted)
+        assert store.metrics.total_miss_cost - charged \
+            == pytest.approx(10.0)
+        assert store.kvs.resident_level(demoted) == 1
+        assert store.kvs.promotions == 1
 
-    def test_store_accessor_and_levels(self):
-        cache = three_levels()
-        assert cache.levels == 3
-        assert cache.store(1).capacity == 50
-        with pytest.raises(ConfigurationError):
-            cache.store(4)
+    def test_store_accessor_and_levels(self, two_levels):
+        store = two_levels(c1=50, c2=1000)
+        backend = store.kvs
+        assert isinstance(backend, TieredBackend)
+        assert backend.kvs.capacity == 50
+        assert isinstance(backend.tier, DiskTier)
+        assert backend.tier.capacity == 1000
+        store.put("a", 30, 100, value=payload("a"))
+        store.put("b", 30, 100, value=payload("b"))
+        assert [backend.resident_level(k) for k in "abz"] == [2, 1, 0]
+        assert backend.tier.contains("a") and "b" in backend.kvs
 
-    def test_invalid_construction(self):
-        store = KVS(10, LruPolicy())
+    def test_invalid_construction(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            MultiLevelCache([store], [0.0])
+            (StoreConfig(50).tiered(str(tmp_path / "zero"), 0,
+                                    recover=False).build())
         with pytest.raises(ConfigurationError):
-            MultiLevelCache([store, KVS(10, LruPolicy())], [0.0])
+            (StoreConfig(50).tiered(str(tmp_path / "dear"), 1000,
+                                    l2_hit_cost_factor=1.5,
+                                    recover=False).build())
         with pytest.raises(ConfigurationError):
-            MultiLevelCache([store, KVS(10, LruPolicy())], [0.5, 0.1])
-        with pytest.raises(ConfigurationError):
-            MultiLevelCache([store, KVS(10, LruPolicy())], [0.0, 1.5])
+            (StoreConfig(50).persistence(str(tmp_path / "snap"))
+             .tiered(str(tmp_path / "both"), 1000, recover=False).build())
 
 
 class TestAsciiChart:

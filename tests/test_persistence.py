@@ -361,7 +361,7 @@ class TestPolicyStateRoundTrip:
 
     def test_unsupported_policy_refuses_export(self):
         with pytest.raises(ConfigurationError, match="export"):
-            make_policy("fifo", 1000).export_state()
+            make_policy("gd-wheel", 1000).export_state()
 
     def test_thread_safe_wrapper_delegates(self):
         inner = make_policy("camp", 1000)
@@ -590,7 +590,7 @@ class TestStorePersistence:
 
     def test_unsupported_policy_fails_at_build_not_first_save(self, tmp_path):
         with pytest.raises(ConfigurationError, match="export"):
-            (StoreConfig(1000).policy("fifo")
+            (StoreConfig(1000).policy("gd-wheel")
              .persistence(tmp_path).build())
 
     def test_unwritable_directory_raises_persistence_error(self, tmp_path):

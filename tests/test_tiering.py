@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cache.outcomes import Outcome
 from repro.cache.store import StoreConfig
+from repro.errors import ConfigurationError
 from repro.tiering import (
     AlwaysDemote,
     CostDensityFilter,
@@ -253,6 +254,80 @@ class TestDemotionFilters:
             assert len(tier) == 0
         finally:
             (backend or tier).close()
+
+
+def serve(store, face, key, size, cost):
+    """One request for ``key`` through one of the Store's request faces."""
+    if face == "access":
+        return store.access(key, size, cost).outcome
+    if face == "access_outcome":
+        return store.access_outcome(key, size, cost)
+    return store.get_or_compute(
+        key, lambda k: pytest.fail(f"{k} recomputed instead of served from disk"),
+        size=size, cost=cost).outcome
+
+
+class TestL2Charging:
+    """A disk serve costs ``l2_hit_cost_factor × cost``, not a recompute."""
+
+    FACTOR = 0.25
+    COST = 40.0
+
+    def demoted_store(self, tmp_path):
+        """An LRU tiered store with "dear" (cost 40) pushed to disk."""
+        store = (StoreConfig(300).policy("lru").track_metrics()
+                 .tiered(str(tmp_path), 1 << 20,
+                         l2_hit_cost_factor=self.FACTOR, recover=False)
+                 .build())
+        # the first request is cold (never charged); the put gives the
+        # pair a payload, which get_or_compute needs served from disk
+        assert store.access("dear", 100, self.COST).outcome \
+            is Outcome.MISS_INSERTED
+        store.put("dear", 100, self.COST, value=b"dear bytes")
+        index = 0
+        while store.kvs.resident_level("dear") == 1:
+            store.put(f"f{index}", 100, 1.0, value=b"x")
+            index += 1
+        assert store.kvs.resident_level("dear") == 2
+        return store
+
+    @pytest.mark.parametrize("face", ["access", "access_outcome",
+                                      "get_or_compute"])
+    @pytest.mark.parametrize("promoted", [True, False],
+                             ids=["hit_l2", "miss_promoted"])
+    def test_l2_serve_charges_factor_times_cost(self, tmp_path, face,
+                                                promoted):
+        store = self.demoted_store(tmp_path)
+        backend = store.kvs
+        if not promoted:
+            # DRAM too small to take the record back: served from disk
+            # without a promotion
+            backend.kvs.resize(50)
+        metrics = store.metrics
+        missed, l2_served = metrics.cost_missed, metrics.cost_l2_served
+        total_miss, cost_total = metrics.total_miss_cost, metrics.cost_total
+        outcome = serve(store, face, "dear", 100, self.COST)
+        assert outcome is (Outcome.HIT_L2 if promoted
+                           else Outcome.MISS_PROMOTED)
+        assert metrics.l2_hits == 1
+        assert metrics.cost_l2_served - l2_served == self.FACTOR * self.COST
+        assert metrics.total_miss_cost - total_miss \
+            == self.FACTOR * self.COST
+        assert metrics.cost_missed == missed
+        assert metrics.cost_total - cost_total == self.COST
+        backend.close()
+
+    @pytest.mark.parametrize("factor", [1.0, -0.1])
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
+    def test_out_of_range_factor_refused_at_build(self, tmp_path, factor):
+        """Refused by ``build()``, without leaking the tier's open segment."""
+        config = (StoreConfig(300)
+                  .tiered(str(tmp_path), 1 << 20,
+                          l2_hit_cost_factor=factor, recover=False))
+        with pytest.raises(ConfigurationError, match="l2_hit_cost_factor"):
+            config.build()
 
 
 class TestTtlThroughTheTier:
