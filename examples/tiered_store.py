@@ -23,11 +23,11 @@ def main() -> None:
     trace = three_cost_trace(n_keys=400, n_requests=20_000, seed=7)
     dram = trace.capacity_for_ratio(0.1)      # DRAM holds 10% of the set
     disk = trace.capacity_for_ratio(0.5)      # the tier holds 50%
-    tier_dir = tempfile.mkdtemp(prefix="camp-tier-")
+    tier_path = tempfile.mkdtemp(prefix="camp-tier-")
 
     store = (StoreConfig(dram)
              .policy("camp", precision=5)
-             .tiered(tier_dir, disk,
+             .tiered(tier_path, disk,
                      demote_min_cost_per_byte=0.01,   # skip cheap bulk
                      l2_hit_cost_factor=0.1)          # disk = 10% cost
              .build())
@@ -44,7 +44,7 @@ def main() -> None:
         elif result.outcome in (Outcome.HIT_L2, Outcome.MISS_PROMOTED):
             disk_cost += 0.1 * record.cost
 
-    print(f"DRAM {dram} bytes over a {disk}-byte tier in {tier_dir}")
+    print(f"DRAM {dram} bytes over a {disk}-byte tier in {tier_path}")
     for name in sorted(outcome_counts):
         print(f"  {name:>16}: {outcome_counts[name]:6d}")
     stats = backend.stats()
@@ -59,7 +59,7 @@ def main() -> None:
     # -- the crash: no close(), no flush beyond the per-append one ----
     survivors = list(backend.tier.keys())[:5]
 
-    recovered = DiskTier(tier_dir, disk, recover=True)
+    recovered = DiskTier(tier_path, disk, recover=True)
     print(f"after the crash: {len(recovered)} records back in the index "
           f"({recovered.recovered_records} frames scanned, "
           f"{recovered.torn_segments} torn segment(s) repaired)")

@@ -9,7 +9,8 @@ Subcommands:
 * ``gen-trace``   — write a synthetic trace file (three-cost / var-size /
   equi-size / bg / phased)
 * ``simulate``    — run one policy over a trace file at a cache size ratio
-* ``serve``       — start the Twemcache-like server on a TCP port
+* ``serve``       — start one CAMP server node on a TCP port (the
+  ``python -m repro.cluster.node`` process under friendlier flags)
 * ``persist``     — durable state directories: ``save`` (simulate a trace
   into a durable store and snapshot it), ``restore`` (recover + report),
   ``inspect`` (generations, log health), ``compact`` (fold the log into
@@ -93,18 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--memory-mb", type=int, default=64)
     serve_cmd.add_argument("--eviction", default="camp",
                            choices=("lru", "camp"))
-    serve_cmd.add_argument("--tier-dir", default=None,
-                           help="enable the on-disk victim tier: slab "
-                                "evictions demote to segment files under "
-                                "this directory, misses probe it and "
-                                "promote hits (recovered across restarts)")
-    serve_cmd.add_argument("--tier-mb", type=int, default=256,
-                           help="disk tier capacity in MiB "
-                                "(default 256; needs --tier-dir)")
-    serve_cmd.add_argument("--tier-min-cost-per-byte", type=float,
-                           default=0.0,
-                           help="demote only victims whose cost/size "
-                                "clears this density (0 = demote all)")
+    serve_cmd.add_argument("--snapshot", default=None,
+                           help="loaded on start if present, written on "
+                                "SIGTERM/SIGINT and by the save verb")
 
     analyze_cmd = sub.add_parser(
         "analyze", help="profile a trace (skew, sizes, costs, working set)")
@@ -354,29 +346,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.twemcache import AsyncTwemcacheServer, TwemcacheEngine
-    engine = TwemcacheEngine(
-        args.memory_mb << 20, eviction=args.eviction,
-        tier_dir=args.tier_dir,
-        tier_bytes=args.tier_mb << 20,
-        tier_min_cost_per_byte=args.tier_min_cost_per_byte)
-    server = AsyncTwemcacheServer(engine, port=args.port).start()
-    host, port = server.address
-    tiered = ""
-    if args.tier_dir:
-        recovered = len(engine.tier)
-        tiered = (f" with a {args.tier_mb} MiB disk tier at "
-                  f"{args.tier_dir} ({recovered} records recovered)")
-    print(f"twemcache-like server ({args.eviction}) on {host}:{port}{tiered}; "
-          f"Ctrl-C to stop")
-    try:
-        import time
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.stop()
-        print("stopped")
-    return 0
+    from repro.cluster import node
+    argv = ["--port", str(args.port),
+            "--memory-bytes", str(args.memory_mb << 20),
+            "--eviction", args.eviction]
+    if args.snapshot:
+        argv += ["--snapshot", args.snapshot]
+    return node.main(argv)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -16,8 +16,10 @@ Lifecycle contract with the supervisor:
   on stdout — the supervisor blocks on that line.
 * SIGTERM/SIGINT drain gracefully: stop accepting, flush in-flight
   replies, snapshot to the configured path, exit 0.  (A SIGKILL'd node
-  relies on the last ``save``-verb/daemon snapshot instead — that is
-  the crash-rejoin path the drill exercises.)
+  relies on the last ``save``-verb snapshot instead — that is the
+  crash-rejoin path the drill exercises.)
+
+``repro.cli serve`` starts this same process with friendlier flags.
 """
 
 from __future__ import annotations

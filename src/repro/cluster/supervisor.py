@@ -12,8 +12,7 @@ reads it to find PIDs).
 Failure drills the benchmark leans on:
 
 * :meth:`kill` — SIGKILL, the crash case: no drain, no final
-  snapshot; rejoin warmth comes from the last ``save`` verb or
-  snapshot daemon write.
+  snapshot; rejoin warmth comes from the last ``save`` verb.
 * :meth:`stop_node` — SIGTERM, the deploy case: the node drains and
   snapshots before exiting.
 * :meth:`restart` — respawn on the *same* port; returns how many items

@@ -17,9 +17,11 @@ Two building blocks reproduce that story in Python:
   bookkeeping), which is exactly the per-request tax this wrapper exists
   to minimize.
 * :class:`ShardedCampPolicy` — hash-partitions keys across ``shards``
-  independent CAMP instances, each guarded by its own plain lock (lock
-  striping, as in memcached's per-bucket locks), sharing one
-  :class:`~repro.core.rounding.RatioConverter` so ratios stay comparable.
+  independent CAMP instances by CRC-32 (not the per-process salted
+  ``hash``, so a replay decides alike in every process), each guarded by
+  its own plain lock (lock striping, as in memcached's per-bucket locks),
+  sharing one :class:`~repro.core.rounding.RatioConverter` so ratios stay
+  comparable.
   Victim selection takes the globally minimal queue head across shards.
   Each shard maintains its own inflation offset ``L``; offsets stay within
   one another's reach because every shard sees a similar key sample — the
@@ -37,6 +39,7 @@ ablation measured.
 from __future__ import annotations
 
 import threading
+import zlib
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -162,10 +165,11 @@ class ShardedCampPolicy(EvictionPolicy):
         self._mask = shards - 1 if shards & (shards - 1) == 0 else None
 
     def _lane(self, key: str) -> Tuple[threading.Lock, CampPolicy]:
+        digest = zlib.crc32(key.encode("utf-8"))
         mask = self._mask
         if mask is not None:
-            return self._lanes[hash(key) & mask]
-        return self._lanes[hash(key) % self._count]
+            return self._lanes[digest & mask]
+        return self._lanes[digest % self._count]
 
     def on_hit(self, key: str) -> None:
         lock, shard = self._lane(key)

@@ -127,8 +127,7 @@ async def _drill_and_rejoin(supervisor: ClusterSupervisor,
         for lo in range(0, len(entries), 256):
             await client.set_many(entries[lo:lo + 256])
         # snapshot every node so the *crash* (SIGKILL, no drain) still
-        # has warm-rejoin material — the deployment pattern is the
-        # engine's snapshot daemon; one explicit save verb stands in
+        # has warm-rejoin material: one explicit save verb per node
         await client.save_all()
 
         victim = sorted(addresses)[0]

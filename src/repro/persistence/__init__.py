@@ -18,11 +18,11 @@ re-paying the working set's ``cost(p)``:
 * :mod:`~repro.persistence.recovery` — newest-healthy-generation
   restore plus log replay,
 * :mod:`~repro.persistence.manager` — live-store wiring: listener-driven
-  logging, ratio-triggered compaction, background snapshot thread.
+  logging and ratio-triggered compaction.
 
 Most callers reach this through ``StoreConfig.persistence(...)``, the
-engine's ``save``/``start_snapshot_daemon``, ``TenantManager.save_all``,
-or the ``repro.cli persist`` subcommand.
+engine's ``save``/``load``, ``TenantManager.save_all``, or the
+``repro.cli persist`` subcommand.
 """
 
 from repro.persistence.aol import FSYNC_POLICIES, AppendOnlyLog, read_log
@@ -34,11 +34,7 @@ from repro.persistence.format import (
     UnsupportedFormatError,
     gc_paused,
 )
-from repro.persistence.manager import (
-    PersistenceConfig,
-    PersistenceManager,
-    SnapshotThread,
-)
+from repro.persistence.manager import PersistenceConfig, PersistenceManager
 from repro.persistence.recovery import (
     RecoveryManager,
     RecoveryReport,
@@ -74,5 +70,4 @@ __all__ = [
     "log_path_for",
     "PersistenceConfig",
     "PersistenceManager",
-    "SnapshotThread",
 ]

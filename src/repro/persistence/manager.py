@@ -1,5 +1,5 @@
 """Wiring durable state to a live store: log every mutation, snapshot on
-demand (or a timer), compact when the log outgrows the snapshot.
+demand, compact when the log outgrows the snapshot.
 
 :class:`PersistenceManager` subscribes to the KVS listener stream —
 inserts and explicit removals (deletes, TTL reclaims, overwrites) append
@@ -11,16 +11,12 @@ logs.  With ``compact_ratio`` set, a snapshot is triggered automatically
 once ``log bytes > ratio × last snapshot bytes`` — the classic
 Redis-style AOF rewrite condition, with the snapshot itself acting as
 the compacted log.
-
-:class:`SnapshotThread` runs ``snapshot()`` on a fixed interval in a
-daemon thread (the twemcache engine's background saver uses it too).
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Union
 
@@ -31,7 +27,7 @@ from repro.persistence.format import PersistenceError, refuse_retired
 from repro.persistence.recovery import RecoveryManager, log_path_for
 from repro.persistence.snapshot import Snapshotter
 
-__all__ = ["PersistenceConfig", "PersistenceManager", "SnapshotThread"]
+__all__ = ["PersistenceConfig", "PersistenceManager"]
 
 Number = Union[int, float]
 
@@ -249,49 +245,3 @@ class PersistenceManager:
             "log_records": self._log.records_appended,
             "snapshot_bytes": self._last_snapshot_bytes,
         }
-
-
-class SnapshotThread:
-    """Background saver: call ``save_fn`` every ``interval`` seconds."""
-
-    def __init__(self, save_fn: Callable[[], object],
-                 interval: float = 30.0, name: str = "snapshot-daemon",
-                 on_error: Optional[Callable[[Exception], None]] = None
-                 ) -> None:
-        if interval <= 0:
-            raise PersistenceError(
-                f"snapshot interval must be > 0, got {interval}")
-        self._save = save_fn
-        self._interval = interval
-        self._on_error = on_error
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, name=name,
-                                        daemon=True)
-        self.saves = 0
-        self.errors = 0
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._save()
-                self.saves += 1
-            except Exception as exc:  # noqa: BLE001 - daemon must survive
-                self.errors += 1
-                if self._on_error is not None:
-                    self._on_error(exc)
-
-    def start(self) -> "SnapshotThread":
-        self._thread.start()
-        return self
-
-    def stop(self, final_save: bool = False) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5)
-        if final_save:
-            self._save()
-            self.saves += 1
-
-    @property
-    def running(self) -> bool:
-        return self._thread.is_alive()

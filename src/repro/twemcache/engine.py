@@ -56,9 +56,6 @@ from repro.persistence.format import (
     write_magic,
     write_record,
 )
-from repro.persistence.manager import SnapshotThread
-from repro.tiering.disk_tier import DiskTier
-from repro.tiering.filter import AlwaysDemote, CostDensityFilter
 from repro.twemcache.slab import ChunkRef, SlabAllocator
 
 __all__ = ["StoredItem", "TwemcacheEngine", "ITEM_HEADER_SIZE"]
@@ -107,8 +104,6 @@ class _SlabBackend:
         engine = self._engine
         item = engine._items.get(key)
         if item is None:
-            if engine._tier is not None:
-                return self._lookup_tier(key)
             return Outcome.MISS
         expire_at = item.expire_at
         if expire_at != 0 and engine._clock() >= expire_at:
@@ -116,28 +111,6 @@ class _SlabBackend:
             return Outcome.EXPIRED
         engine._policy_for_class(item.class_id).on_hit(key)
         return Outcome.HIT
-
-    def _lookup_tier(self, key: str) -> Outcome:
-        """The slab miss path's L2 probe: a disk hit re-enters the slabs
-        through the ordinary four-step insert (TTL carried through)."""
-        engine = self._engine
-        record = engine._tier.get(key)
-        if record is None:
-            return Outcome.MISS
-        ttl = record.remaining_ttl(engine._clock())
-        if ttl is not None and ttl <= 0:
-            engine._tier.delete(key, tombstone=False)
-            return Outcome.MISS
-        value = record.value if record.value is not None else b""
-        size = len(key) + len(value) + ITEM_HEADER_SIZE
-        outcome = self.insert(key, size, record.cost, ttl=ttl,
-                              value=value, flags=record.flags)
-        if outcome is Outcome.MISS_INSERTED:
-            engine._tier.delete(key)   # tombstoned: the slabs own it now
-            engine.tier_promotions += 1
-            return Outcome.HIT_L2
-        engine.tier_promotions_rejected += 1
-        return Outcome.MISS_PROMOTED
 
     def insert(self, key: str, size: int, cost: Number,
                ttl: Optional[float] = None, value: bytes = b"",
@@ -173,21 +146,15 @@ class _SlabBackend:
         if expire_at:
             engine._ttl_items += 1
         engine._policy_for_class(class_id).on_insert(key, size, cost)
-        if engine._tier is not None and key in engine._tier:
-            # a fresh set supersedes any demoted copy
-            engine._tier.delete(key)
         return Outcome.MISS_INSERTED
 
     def delete(self, key: str) -> bool:
         engine = self._engine
         item = engine._items.get(key)
-        found = False
-        if item is not None:
-            engine._forget(item)
-            found = True
-        if engine._tier is not None and engine._tier.delete(key):
-            found = True
-        return found
+        if item is None:
+            return False
+        engine._forget(item)
+        return True
 
     def touch(self, key: str, ttl: Optional[float] = None) -> bool:
         engine = self._engine
@@ -206,15 +173,10 @@ class _SlabBackend:
         return self._engine.stats()
 
     def __contains__(self, key: str) -> bool:
-        engine = self._engine
-        if key in engine._items:
-            return True
-        return engine._tier is not None and key in engine._tier
+        return key in self._engine._items
 
     def __len__(self) -> int:
-        engine = self._engine
-        tier_items = len(engine._tier) if engine._tier is not None else 0
-        return len(engine._items) + tier_items
+        return len(self._engine._items)
 
 
 class TwemcacheEngine:
@@ -228,24 +190,12 @@ class TwemcacheEngine:
                  random_slab_eviction: bool = True,
                  clock: Optional[Callable[[], float]] = None,
                  seed: int = 0,
-                 snapshot_path: Optional[str] = None,
-                 tier_dir: Optional[str] = None,
-                 tier_bytes: int = 64 << 20,
-                 tier_min_cost_per_byte: float = 0.0,
-                 tier_segment_bytes: int = 1 << 20) -> None:
+                 snapshot_path: Optional[str] = None) -> None:
         """``eviction`` is ``"lru"`` (stock Twemcache) or ``"camp"`` (the
         paper's IQ-Twemcache variant).  ``clock`` is injectable for
         deterministic expiry tests (defaults to ``time.monotonic``).
         ``snapshot_path`` is the default target of :meth:`save` (and the
-        protocol's ``save`` verb).
-
-        ``tier_dir`` enables *tiered mode*: slab evictions are demoted to
-        a :class:`~repro.tiering.disk_tier.DiskTier` under that directory
-        (``tier_bytes`` capacity, recovered across restarts), slab misses
-        probe it and promote hits back into the slabs.
-        ``tier_min_cost_per_byte`` > 0 installs a
-        :class:`~repro.tiering.filter.CostDensityFilter` so only
-        expensive-per-byte victims are written to disk."""
+        protocol's ``save`` verb)."""
         if eviction not in ("lru", "camp"):
             raise ConfigurationError(
                 f"eviction must be 'lru' or 'camp', got {eviction!r}")
@@ -269,17 +219,6 @@ class TwemcacheEngine:
         self._store = Store(_SlabBackend(self), sizer=self._item_size,
                             lock=self._lock)
         self._snapshot_path = snapshot_path
-        self._snapshot_daemon: Optional[SnapshotThread] = None
-        # tiered mode: DRAM slabs over an on-disk victim tier
-        self._tier: Optional[DiskTier] = None
-        self._tier_filter = None
-        if tier_dir is not None:
-            self._tier = DiskTier(tier_dir, tier_bytes,
-                                  segment_bytes=tier_segment_bytes,
-                                  clock=self._clock)
-            self._tier_filter = (CostDensityFilter(tier_min_cost_per_byte)
-                                 if tier_min_cost_per_byte > 0
-                                 else AlwaysDemote())
         # counters
         self.hits = 0
         self.misses = 0
@@ -287,11 +226,6 @@ class TwemcacheEngine:
         self.expired_reclaims = 0
         self.slab_reassignments = 0
         self.snapshots_taken = 0
-        self.snapshot_errors = 0
-        self.tier_demotions = 0
-        self.tier_filtered_drops = 0
-        self.tier_promotions = 0
-        self.tier_promotions_rejected = 0
 
     # ------------------------------------------------------------------
     # policy plumbing
@@ -407,12 +341,10 @@ class TwemcacheEngine:
             return self._store.touch(key, expire_after or None)
 
     def flush_all(self) -> None:
-        """Drop every item (memcached ``flush_all``), both tiers."""
+        """Drop every item (memcached ``flush_all``)."""
         with self._lock:
             for item in list(self._items.values()):
                 self._forget(item)
-            if self._tier is not None:
-                self._tier.clear()
 
     def delete(self, key: str) -> bool:
         with self._lock:
@@ -447,8 +379,6 @@ class TwemcacheEngine:
             if victim.expire_at:
                 self._ttl_items -= 1
             self.evictions += 1
-            if self._tier is not None:
-                self._maybe_demote(victim)
             # step 4 verbatim: the victim's chunk is the same class, so
             # the new pair replaces its contents in place — no free-list
             # round trip on the eviction path
@@ -502,24 +432,8 @@ class TwemcacheEngine:
             if donor_policy is not None and victim_key in donor_policy:
                 donor_policy.on_remove(victim_key)
             self.evictions += 1
-            if victim is not None and self._tier is not None:
-                self._maybe_demote(victim)
         self.slab_reassignments += 1
         return self._allocator.try_allocate(class_id, key)
-
-    def _maybe_demote(self, victim: StoredItem) -> None:
-        """Offer an eviction victim to the disk tier (tiered mode only;
-        expired victims and filter rejects are simply dropped)."""
-        if victim.expired(self._clock()):
-            return
-        size = len(victim.key) + len(victim.value) + ITEM_HEADER_SIZE
-        if not self._tier_filter.should_demote(victim.key, size,
-                                               victim.cost):
-            self.tier_filtered_drops += 1
-            return
-        if self._tier.put(victim.key, victim.value, size, victim.cost,
-                          expire_at=victim.expire_at, flags=victim.flags):
-            self.tier_demotions += 1
 
     def _forget(self, item: StoredItem) -> None:
         if self._items.pop(item.key, None) is not None and item.expire_at:
@@ -530,7 +444,7 @@ class TwemcacheEngine:
         self._allocator.free(item.chunk)
 
     # ------------------------------------------------------------------
-    # durable state (the server's SAVE verb / background saver)
+    # durable state (the server's SAVE verb)
     # ------------------------------------------------------------------
     def save(self, path: Optional[str] = None) -> int:
         """Atomically snapshot every live item to ``path`` (or the
@@ -633,32 +547,6 @@ class TwemcacheEngine:
                         f"{target}: missing or wrong footer")
             return stored
 
-    def start_snapshot_daemon(self, interval: float = 30.0,
-                              path: Optional[str] = None) -> SnapshotThread:
-        """Save every ``interval`` seconds in a background thread."""
-        if self._snapshot_daemon is not None and self._snapshot_daemon.running:
-            raise PersistenceError("snapshot daemon already running")
-        if path is not None:
-            self._snapshot_path = path
-        if self._snapshot_path is None:
-            raise PersistenceError(
-                "no snapshot path configured for the snapshot daemon")
-
-        def _on_error(_exc: Exception) -> None:
-            self.snapshot_errors += 1
-
-        self._snapshot_daemon = SnapshotThread(
-            self.save, interval=interval, name="twemcache-snapshot",
-            on_error=_on_error).start()
-        return self._snapshot_daemon
-
-    def stop_snapshot_daemon(self, final_save: bool = True) -> None:
-        """Stop the background saver (writing one last snapshot by
-        default); no-op when none is running."""
-        if self._snapshot_daemon is not None:
-            self._snapshot_daemon.stop(final_save=final_save)
-            self._snapshot_daemon = None
-
     @property
     def snapshot_path(self) -> Optional[str]:
         return self._snapshot_path
@@ -677,17 +565,6 @@ class TwemcacheEngine:
     @property
     def allocator(self) -> SlabAllocator:
         return self._allocator
-
-    @property
-    def tier(self) -> Optional[DiskTier]:
-        """The on-disk victim tier (None unless built with ``tier_dir``)."""
-        return self._tier
-
-    def close(self) -> None:
-        """Release tier file handles (tiered mode; no-op otherwise)."""
-        with self._lock:
-            if self._tier is not None:
-                self._tier.close()
 
     @property
     def store(self) -> Store:
@@ -733,20 +610,12 @@ class TwemcacheEngine:
                 "expired_reclaims": self.expired_reclaims,
                 "slab_reassignments": self.slab_reassignments,
                 "snapshots_taken": self.snapshots_taken,
-                "snapshot_errors": self.snapshot_errors,
             }
             stats.update(self._allocator.stats())
-            if self._tier is not None:
-                stats.update(self._tier.stats())
-                stats["tier_demotions"] = self.tier_demotions
-                stats["tier_filtered_drops"] = self.tier_filtered_drops
-                stats["tier_promotions"] = self.tier_promotions
-                stats["tier_promotions_rejected"] = \
-                    self.tier_promotions_rejected
             return stats
 
     def digest(self, prefix: str = "") -> Dict[str, tuple]:
-        """Key → ``(cost, crc32(value))`` over the live DRAM items.
+        """Key → ``(cost, crc32(value))`` over the live items.
 
         The anti-entropy summary behind the wire's ``digest`` verb:
         cheap enough to compute under the lock (one crc32 per item, no
@@ -778,10 +647,3 @@ class TwemcacheEngine:
                 if item.chunk.slab.chunks[item.chunk.index] != key:
                     raise ConfigurationError(
                         f"chunk for {key!r} does not reference it")
-            if self._tier is not None:
-                self._tier.check_invariants()
-                for key in list(self._tier.keys()):
-                    if key in self._items:
-                        raise ConfigurationError(
-                            f"key {key!r} resident in both slab memory "
-                            f"and the disk tier")

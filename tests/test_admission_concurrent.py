@@ -1,7 +1,10 @@
 """Admission controllers and the section 4.1 concurrency extensions."""
 
-import threading
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -158,6 +161,36 @@ class TestShardedCamp:
                         evictions[id(policy)].append(policy.pop_victim())
                     policy.on_insert(key, size, cost)
         assert evictions[id(sharded)] == evictions[id(camp)]
+
+    def test_eviction_sequence_independent_of_hash_seed(self):
+        # lanes are chosen by CRC-32, so the salted built-in hash of one
+        # process or another must not move a single decision
+        replay = (
+            "import random\n"
+            "from repro.core import ShardedCampPolicy\n"
+            "policy = ShardedCampPolicy(shards=8, precision=5)\n"
+            "rng = random.Random(4)\n"
+            "evicted = []\n"
+            "for _ in range(3000):\n"
+            "    key = f'k{rng.randrange(400)}'\n"
+            "    cost = rng.choice([1, 100, 10_000])\n"
+            "    if key in policy:\n"
+            "        policy.on_hit(key)\n"
+            "        continue\n"
+            "    while len(policy) >= 64:\n"
+            "        evicted.append(policy.pop_victim())\n"
+            "    policy.on_insert(key, 1 + len(key), cost)\n"
+            "print(' '.join(evicted))\n")
+        sequences = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            done = subprocess.run([sys.executable, "-c", replay], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60, check=True)
+            sequences.append(done.stdout.split())
+        assert len(sequences[0]) > 1000
+        assert sequences[0] == sequences[1]
 
     def test_victim_is_global_minimum_head(self):
         policy = ShardedCampPolicy(shards=4, precision=None)

@@ -1,5 +1,12 @@
 """CLI tests (argument parsing and end-to-end subcommands)."""
 
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -18,6 +25,9 @@ class TestParser:
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "table1", "--scale", "huge"])
+
+    def test_serve_defaults_to_the_memcached_port(self):
+        assert build_parser().parse_args(["serve"]).port == 11211
 
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -153,3 +163,32 @@ class TestPersistCommands:
         snapshots[-1].write_bytes(b"\x00" * 32)
         assert main(["persist", "inspect", str(state)]) == 0
         assert "CORRUPT" in capsys.readouterr().out
+
+
+class TestServe:
+    def test_serve_answers_then_drains_on_sigterm(self):
+        from repro.twemcache import SocketClient
+        deadline = time.monotonic() + 10.0
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--memory-mb", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env)
+        try:
+            ready, _, _ = select.select(
+                [process.stdout], [], [], deadline - time.monotonic())
+            assert ready, "no READY line before the deadline"
+            word, host, port, recovered = process.stdout.readline().split()
+            assert word == "READY" and recovered == "0"
+            with SocketClient((host, int(port)), timeout=5.0) as client:
+                assert client.set("k", b"value", cost=3)
+                assert client.get("k").value == b"value"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=deadline - time.monotonic()) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()

@@ -34,7 +34,6 @@ from repro.persistence import (
     RecoveryManager,
     SnapshotCorruptError,
     Snapshotter,
-    SnapshotThread,
     UnsupportedFormatError,
     gc_paused,
     load_snapshot,
@@ -47,6 +46,7 @@ from repro.persistence.format import (
     LOG_MAGIC,
     MAX_RECORD_BYTES,
     SNAPSHOT_MAGIC,
+    encode_payload,
     iter_records,
     read_magic,
     read_record,
@@ -501,29 +501,6 @@ class TestPersistenceManager:
             PersistenceConfig(directory=tmp_path,
                               keep_generations=0).validate()
 
-    def test_snapshot_thread_saves_and_survives_errors(self):
-        saves = []
-        failures = iter([True, False])
-
-        def flaky_save():
-            if next(failures, False):
-                raise OSError("disk full")
-            saves.append(1)
-
-        errors = []
-        thread = SnapshotThread(flaky_save, interval=0.01,
-                                on_error=errors.append).start()
-        deadline = threading.Event()
-        for _ in range(200):
-            if saves and errors:
-                break
-            deadline.wait(0.01)
-        thread.stop()
-        assert errors and saves
-        assert not thread.running
-        with pytest.raises(PersistenceError):
-            SnapshotThread(lambda: None, interval=0)
-
 
 # ---------------------------------------------------------------------------
 # Store / StoreConfig wiring
@@ -724,16 +701,26 @@ class TestEnginePersistence:
         warm_clock.now = 500.0 + 95.0
         assert warm.get("keeper") is None
 
-    def test_snapshot_daemon_lifecycle(self, tmp_path):
-        engine = self._engine(tmp_path)
-        engine.set("a", b"v")
-        daemon = engine.start_snapshot_daemon(interval=30.0)
-        with pytest.raises(PersistenceError, match="already running"):
-            engine.start_snapshot_daemon(interval=30.0)
-        engine.stop_snapshot_daemon(final_save=True)
-        assert not daemon.running
-        assert (tmp_path / "engine.snap").exists()
-        assert engine.stats()["snapshots_taken"] >= 1
+    @pytest.mark.parametrize("kind, written, footer, message", [
+        ("store", 2, 2, "not a twemcache snapshot"),
+        ("twemcache", 1, None, "truncated item section"),
+        ("twemcache", 2, 3, "missing or wrong footer"),
+    ], ids=["foreign-header", "truncated-items", "wrong-footer-count"])
+    def test_load_refuses_corrupt_snapshot(self, tmp_path, kind, written,
+                                           footer, message):
+        from repro.twemcache.engine import ENGINE_SNAPSHOT_MAGIC
+        path = tmp_path / "bad.snap"
+        with open(path, "wb") as handle:
+            write_magic(handle, ENGINE_SNAPSHOT_MAGIC)
+            write_record(handle, {"kind": kind, "version": 1,
+                                  "clock": 0.0, "items": 2})
+            for key in ("a", "b")[:written]:
+                write_record(handle, {"k": key, "v": encode_payload(b"v"),
+                                      "f": 0, "e": 0.0, "c": 5})
+            if footer is not None:
+                write_record(handle, {"kind": "footer", "items": footer})
+        with pytest.raises(SnapshotCorruptError, match=message):
+            self._engine(tmp_path).load(str(path))
 
     def test_server_save_verb(self, tmp_path):
         from repro.twemcache import AsyncTwemcacheServer, SocketClient
