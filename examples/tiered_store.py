@@ -6,7 +6,7 @@ files, and a DRAM miss probes the tier before recomputing — an L2 hit
 promotes the pair back to DRAM at a tenth of its recompute cost
 (``Outcome.HIT_L2``).  Then the process "dies" without a shutdown, and a
 fresh tier rebuilds its index from the CRC-framed segments and keeps
-serving.
+serving.  The tier's directory is temporary and removed on exit.
 
 Run with:  PYTHONPATH=src python examples/tiered_store.py
 """
@@ -20,10 +20,14 @@ from repro.workloads import three_cost_trace
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="camp-tier-") as tier_path:
+        run(tier_path)
+
+
+def run(tier_path: str) -> None:
     trace = three_cost_trace(n_keys=400, n_requests=20_000, seed=7)
     dram = trace.capacity_for_ratio(0.1)      # DRAM holds 10% of the set
     disk = trace.capacity_for_ratio(0.5)      # the tier holds 50%
-    tier_path = tempfile.mkdtemp(prefix="camp-tier-")
 
     store = (StoreConfig(dram)
              .policy("camp", precision=5)

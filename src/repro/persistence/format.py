@@ -16,13 +16,13 @@ Two kinds of body ride in frames:
 
 * **binary** (:func:`write_frame` / :func:`read_frame`) — the durable
   store's snapshot (``CAMPSNP2``, :mod:`repro.persistence.snapshot`)
-  and operation log (``CAMPAOL2``, :mod:`repro.persistence.aol`) pack
-  their records with :mod:`struct`; ``repro.cli persist inspect`` reads
-  them back;
+  and operation log (``CAMPAOL2``, :mod:`repro.persistence.aol`) and
+  the disk tier's segments (``CAMPSEG2``, :mod:`repro.tiering.disk_tier`)
+  pack their records with :mod:`struct`; ``repro.cli persist inspect``
+  reads the durable store's files back;
 * **JSON** (:func:`write_record` / :func:`read_record`) — compact,
-  sorted-key JSON with base64 payloads, kept byte for byte by the disk
-  tier's segments, the cluster's hint logs and the twemcache engine's
-  snapshot file.
+  sorted-key JSON with base64 payloads, kept byte for byte by the
+  cluster's hint logs and the twemcache engine's snapshot file.
 
 The durable store's format-1 files (``CAMPSNP1``/``CAMPAOL1``, JSON
 bodies) are recognised by name and refused with

@@ -4,24 +4,40 @@ Layout (FlashMap's flash-friendly shape: sequential writes, an in-memory
 index, coarse reclamation):
 
 * The tier is a directory of *segment files* ``segment-000001.seg``,
-  ``segment-000002.seg``, ... — each a fixed 8-byte magic followed by the
-  CRC-framed records of :mod:`repro.persistence.format`.  All writes are
-  appends to the newest ("active") segment; when it reaches
-  ``segment_bytes`` it is sealed and a new one opened.
-* Records are *value records* (key, payload, size, cost, expiry, flags)
-  or *tombstones* (key only) — a delete/promotion appends a tombstone so
-  a later recovery cannot resurrect the removed copy.
+  ``segment-000002.seg``, ... — each the 8-byte magic ``CAMPSEG2``
+  followed by records in the ``(length, crc32)`` frame of
+  :mod:`repro.persistence.format`.  All writes are appends to the newest
+  ("active") segment; when it reaches ``segment_bytes`` it is sealed and
+  a new one opened.
+* Records are *value records* (a demoted pair, with or without its
+  payload) or *tombstones* (key only) — a delete/promotion appends a
+  tombstone so a later recovery cannot resurrect the removed copy.  A
+  record body is packed with :mod:`struct`, little-endian::
+
+      kind u8 | flags u32 | size i64 | cost i64 or f64 | expire_at f64
+              | written_at f64 | key length u16 | key (UTF-8) | payload
+
+  The kind byte's low bits name the record (1 value with payload, 2
+  metadata-only, 3 tombstone) and bit ``0x10`` marks an f64 cost, so an
+  int cost reads back as an int.  A tombstone is the kind byte and the
+  key.  Every field has a fixed width, so where segment boundaries fall
+  depends on the keys and payloads alone, never on the clock's digits.
 * An in-memory index maps each live key to ``(segment, offset)`` plus its
-  metadata; lookups seek straight to the record and re-verify its CRC.
+  metadata; lookups seek straight to the record and re-verify its CRC,
+  kind and key.  Each segment also keeps its own live keys, so neither
+  reclaiming a segment nor the per-delete GC check scans the index.
 * Space is reclaimed at **segment granularity**: capacity pressure drops
   whole oldest segments (their live keys are evicted); compaction
-  (:meth:`gc`) rewrites mostly-dead segments by re-appending their live
-  records and deleting the file.
+  (:meth:`gc`) copies the verified bodies of a mostly-dead segment's live
+  records, unchanged, to the active segment and deletes the file.
 * :meth:`recover` (run by the constructor) rebuilds the index by
   scanning every segment's healthy frame prefix — a torn tail, a flipped
   bit, or a crash mid-append surfaces as a per-record checksum failure,
   the scan stops there, and the torn active tail is truncated so future
-  appends land on a clean boundary.  Only intact records are served.
+  appends land on a clean boundary.  Only intact records are served.  A
+  segment with any other magic — a ``CAMPSEG1`` file of the old JSON
+  format included — is quarantined: none of its records is served, and
+  it is never appended to or rewritten.
 
 Sizes are *logical* (the L1 item's charged size), so capacity accounting
 and the demotion-volume counters mean the same thing for real payloads
@@ -38,21 +54,20 @@ from __future__ import annotations
 
 import os
 import pathlib
+import struct
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.faults.files import fault_open
 from repro.persistence.format import (
     PersistenceError,
     SnapshotCorruptError,
-    decode_payload,
-    encode_payload,
+    frame_header,
+    read_frame,
     read_magic,
-    read_record,
     write_magic,
-    write_record,
 )
 
 __all__ = ["DiskTier", "TierRecord", "SEGMENT_MAGIC"]
@@ -60,9 +75,71 @@ __all__ = ["DiskTier", "TierRecord", "SEGMENT_MAGIC"]
 Number = Union[int, float]
 
 #: segment files' first 8 bytes: format family + version (bump on change)
-SEGMENT_MAGIC = b"CAMPSEG1"
+SEGMENT_MAGIC = b"CAMPSEG2"
 
 _SEGMENT_GLOB = "segment-*.seg"
+
+_VALUE, _META, _TOMBSTONE = 1, 2, 3
+_FLOAT_COST = 0x10
+
+#: kind | flags | size | cost | expire_at | written_at | key length
+_HEAD_INT = struct.Struct("<BIqqddH")
+_HEAD_FLOAT = struct.Struct("<BIqdddH")
+_HEADS = {_VALUE: _HEAD_INT, _META: _HEAD_INT,
+          _VALUE | _FLOAT_COST: _HEAD_FLOAT, _META | _FLOAT_COST: _HEAD_FLOAT}
+_KEY_AT = _HEAD_INT.size
+_TOMBSTONE_KIND = bytes([_TOMBSTONE])
+
+#: one decoded record: (tombstone?, key, payload or None, size, cost,
+#: expire_at, written_at, flags) — a tombstone carries only its key
+Decoded = Tuple[bool, str, Optional[bytes], int, Number, float, float, int]
+
+
+def _encode_value(key: str, value: Optional[bytes], size: int,
+                  cost: Number, expire_at: float, written_at: float,
+                  flags: int) -> bytes:
+    """Pack one value record; PersistenceError when a field does not fit
+    (an int outside i64, flags outside u32, a key that is not UTF-8 text
+    or is longer than 65 535 bytes)."""
+    kind = _META if value is None else _VALUE
+    head = _HEAD_INT
+    if isinstance(cost, float):
+        kind |= _FLOAT_COST
+        head = _HEAD_FLOAT
+    try:
+        encoded = key.encode("utf-8")
+        packed = head.pack(kind, flags, size, cost, expire_at, written_at,
+                           len(encoded))
+    except (struct.error, UnicodeEncodeError) as exc:
+        raise PersistenceError(
+            f"cannot demote {key[:64]!r} (size {size!r}, cost {cost!r}, "
+            f"flags {flags!r}): {exc}") from None
+    if value is None:
+        return packed + encoded
+    return packed + encoded + value
+
+
+def _decode(body: bytes) -> Decoded:
+    """Unpack one verified frame body; SnapshotCorruptError when its
+    kind or layout is not one a writer makes."""
+    kind = body[0]
+    try:
+        if kind == _TOMBSTONE:
+            return True, body[1:].decode("utf-8"), None, 0, 0, 0.0, 0.0, 0
+        _, flags, size, cost, expire_at, written_at, key_length = \
+            _HEADS[kind].unpack_from(body)
+        end = _KEY_AT + key_length
+        if end > len(body):
+            raise SnapshotCorruptError("segment record key overruns body")
+        key = body[_KEY_AT:end].decode("utf-8")
+    except KeyError:
+        raise SnapshotCorruptError(
+            f"unknown segment record kind {kind:#04x}") from None
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise SnapshotCorruptError(
+            f"malformed segment record: {exc}") from None
+    payload = body[end:] if kind & _VALUE else None
+    return False, key, payload, size, cost, expire_at, written_at, flags
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +180,9 @@ class _Segment:
     written: int = 0         # logical bytes ever appended (live + dead)
     live: int = 0            # logical bytes still referenced by the index
     records: int = 0
+    #: the index's keys that point here, in file order (a dict as an
+    #: ordered set)
+    keys: Dict[str, None] = field(default_factory=dict)
 
     @property
     def dead(self) -> int:
@@ -144,8 +224,10 @@ class DiskTier:
         self._index: Dict[str, _IndexEntry] = {}
         self._segments: Dict[int, _Segment] = {}
         self._used = 0
+        self._written = 0            # sum of every segment's ``written``
         self._active: Optional[_Segment] = None
         self._active_handle = None
+        self._active_bytes = 0       # the active segment file's length
         self._read_handles: Dict[int, object] = {}
         # counters
         self.hits = 0
@@ -186,21 +268,18 @@ class DiskTier:
         if expire_at and self._clock() >= expire_at:
             self.expired += 1
             return False
-        body = {"k": key, "s": size, "c": cost, "e": expire_at,
-                "w": self._clock(), "f": flags}
-        if value is not None:
-            body["v"] = encode_payload(value)
+        body = _encode_value(key, value, size, cost, expire_at,
+                             self._clock(), flags)
         # append before superseding: a failed append (disk full) must
         # leave any existing copy of the key live, not half-forgotten
         segment, offset = self._append(body, logical=size)
         existing = self._index.pop(key, None)
         if existing is not None:
-            self._account_dead(existing)
+            self._account_dead(key, existing)
         self._index[key] = _IndexEntry(segment.segment_id, offset, size,
                                        cost, expire_at, flags,
                                        value is not None)
-        segment.live += size
-        self._used += size
+        self._account_live(key, segment, size)
         self.bytes_written += size
         self._evict_to_capacity()
         return key in self._index
@@ -220,14 +299,13 @@ class DiskTier:
             self.expired += 1
             self.misses += 1
             return None
-        body = self._read_body(key, entry)
-        if body is None:
+        record = self._read_verified(key, entry)
+        if record is None:
             self.misses += 1
             return None
         self.hits += 1
         self.bytes_read += entry.size
-        value = decode_payload(body["v"]) if "v" in body else None
-        return TierRecord(key=key, value=value, size=entry.size,
+        return TierRecord(key=key, value=record[1], size=entry.size,
                           cost=entry.cost, expire_at=entry.expire_at,
                           flags=entry.flags)
 
@@ -238,10 +316,8 @@ class DiskTier:
         entry = self.peek(key)
         if entry is None or not entry.has_value:
             return None
-        body = self._read_body(key, entry)
-        if body is None or "v" not in body:
-            return None
-        return decode_payload(body["v"])
+        record = self._read_verified(key, entry)
+        return None if record is None else record[1]
 
     def contains(self, key: str) -> bool:
         """Index membership (expiry-checked, no disk read)."""
@@ -266,9 +342,9 @@ class DiskTier:
         entry = self._index.pop(key, None)
         if entry is None:
             return False
-        self._account_dead(entry)
+        self._account_dead(key, entry)
         if tombstone:
-            self._append({"k": key, "t": 1}, logical=0)
+            self._append(_TOMBSTONE_KIND + key.encode("utf-8"), logical=0)
             self.tombstones_written += 1
         self._maybe_auto_gc()
         return True
@@ -309,48 +385,41 @@ class DiskTier:
         than one segment still honours its budget.
         """
         while self._used > self._capacity:
-            victim = None
-            for segment_id in sorted(self._segments):
-                segment = self._segments[segment_id]
-                if segment is self._active:
-                    continue
-                victim = segment
-                break
+            # segments enter the dict in id order: the first that is not
+            # the active one is the oldest
+            victim = next((segment for segment in self._segments.values()
+                           if segment is not self._active), None)
             if victim is not None:
                 self._evict_segment(victim)
                 continue
-            # only the active segment is left: evict oldest keys (dict
-            # preserves write order) until the budget holds
-            for key in list(self._index):
-                entry = self._index[key]
-                del self._index[key]
-                self._account_dead(entry)
-                self.evictions += 1
-                if self._used <= self._capacity:
+            # only the active segment is left: evict its oldest keys
+            # (file order) until the budget holds
+            excess = self._used - self._capacity
+            victims = []
+            for key in self._active.keys:
+                victims.append(key)
+                excess -= self._index[key].size
+                if excess <= 0:
                     break
+            for key in victims:
+                self._account_dead(key, self._index.pop(key))
+                self.evictions += 1
             return
 
     def _evict_segment(self, segment: _Segment) -> None:
-        dead_keys = [key for key, entry in self._index.items()
-                     if entry.segment_id == segment.segment_id]
-        for key in dead_keys:
-            entry = self._index.pop(key)
-            self._used -= entry.size
+        for key in segment.keys:
+            self._used -= self._index.pop(key).size
             self.evictions += 1
-        segment.live = 0
         self._remove_segment_file(segment)
 
     def gc(self, min_dead_ratio: float = 0.5) -> int:
         """Compact sealed segments whose dead fraction exceeds
-        ``min_dead_ratio``: live records are re-appended to the active
+        ``min_dead_ratio``: live records are copied to the active
         segment (write amplification counted in ``bytes_rewritten``),
         then the file is deleted.  Returns segments collected."""
         collected = 0
-        for segment_id in sorted(self._segments):
-            segment = self._segments.get(segment_id)
-            if segment is None or segment is self._active:
-                continue
-            if segment.written == 0:
+        for segment in list(self._segments.values()):
+            if segment is self._active or segment.written == 0:
                 continue
             if segment.dead / segment.written < min_dead_ratio:
                 continue
@@ -359,26 +428,29 @@ class DiskTier:
         return collected
 
     def _compact_segment(self, segment: _Segment) -> None:
-        live_keys = [key for key, entry in self._index.items()
-                     if entry.segment_id == segment.segment_id]
-        for key in live_keys:
+        """Copy each live record's verified frame body, as read, to the
+        active segment; nothing is decoded and encoded again."""
+        # a copy: a record that fails its check leaves segment.keys
+        for key in list(segment.keys):
             entry = self._index[key]
-            body = self._read_body(key, entry)
-            if body is None:
+            record = self._read_verified(key, entry)
+            if record is None:
                 continue   # rotted since demotion: dropped, not rewritten
-            new_segment, offset = self._append(body, logical=entry.size)
+            new_segment, offset = self._append(record[0], logical=entry.size)
+            del segment.keys[key]
+            segment.live -= entry.size
             entry.segment_id = new_segment.segment_id
             entry.offset = offset
+            new_segment.keys[key] = None
             new_segment.live += entry.size
             self.bytes_rewritten += entry.size
-        segment.live = 0
         self._remove_segment_file(segment)
 
     def _maybe_auto_gc(self) -> None:
         ratio = self._auto_gc_dead_ratio
         if ratio is None:
             return
-        written = sum(s.written for s in self._segments.values())
+        written = self._written
         if written and (written - self._used) / written >= ratio:
             self.gc(min_dead_ratio=min(ratio, 0.5))
 
@@ -405,6 +477,7 @@ class DiskTier:
             self.segments_created += 1
         self._active = segment
         self._active_handle = handle
+        self._active_bytes = handle.tell()
         return segment
 
     def _start_fresh(self) -> None:
@@ -415,7 +488,7 @@ class DiskTier:
                               for path in existing)
         self._open_segment(next_id)
 
-    def _append(self, body: dict, logical: int):
+    def _append(self, body: bytes, logical: int):
         """Write one framed record to the active segment; returns
         ``(segment, offset)``.  Flushed immediately so a reader handle
         sees it (no fsync — the tier is a cache, not a system of
@@ -424,9 +497,10 @@ class DiskTier:
             self._start_fresh()
         handle = self._active_handle
         segment = self._active
-        offset = handle.tell()
+        offset = self._active_bytes
+        data = frame_header(body) + body
         try:
-            write_record(handle, body)
+            handle.write(data)
             handle.flush()
         except OSError as exc:
             # scrub any torn frame so the segment stays scannable and
@@ -442,7 +516,9 @@ class DiskTier:
                 f"cannot append to {segment.path}: {exc}") from exc
         segment.written += logical
         segment.records += 1
-        if handle.tell() >= self._segment_bytes:
+        self._written += logical
+        self._active_bytes = offset + len(data)
+        if self._active_bytes >= self._segment_bytes:
             self._seal_active()
         return segment, offset
 
@@ -470,6 +546,7 @@ class DiskTier:
         except OSError:
             pass
         self._segments.pop(segment.segment_id, None)
+        self._written -= segment.written
         self.segments_collected += 1
 
     def _read_handle(self, segment_id: int):
@@ -479,30 +556,40 @@ class DiskTier:
             self._read_handles[segment_id] = handle
         return handle
 
-    def _read_body(self, key: str, entry: _IndexEntry) -> Optional[dict]:
-        """Seek-and-verify one record; corrupt/mismatched records drop
-        the index entry (served data is only ever CRC-intact)."""
+    def _read_verified(self, key: str, entry: _IndexEntry
+                       ) -> Optional[Tuple[bytes, Optional[bytes]]]:
+        """Seek-and-verify one record: ``(frame body, payload)``.  A
+        record whose CRC fails, which names another key, or which is a
+        tombstone drops the index entry and reads as None (served data
+        is only ever CRC-intact)."""
         try:
             handle = self._read_handle(entry.segment_id)
             handle.seek(entry.offset)
-            body = read_record(handle)
+            body = read_frame(handle)
+            record = _decode(body) if body is not None else None
         except (OSError, SnapshotCorruptError):
-            body = None
-        if body is None or body.get("k") != key or "t" in body:
+            record = None
+        if record is None or record[0] or record[1] != key:
             self.corrupt_reads += 1
             self._drop(key, self._index.get(key))
             return None
-        return body
+        return body, record[2]
 
     def _drop(self, key: str, entry: Optional[_IndexEntry]) -> None:
         if self._index.pop(key, None) is not None and entry is not None:
-            self._account_dead(entry)
+            self._account_dead(key, entry)
 
-    def _account_dead(self, entry: _IndexEntry) -> None:
+    def _account_live(self, key: str, segment: _Segment, size: int) -> None:
+        segment.keys[key] = None
+        segment.live += size
+        self._used += size
+
+    def _account_dead(self, key: str, entry: _IndexEntry) -> None:
         self._used -= entry.size
         segment = self._segments.get(entry.segment_id)
         if segment is not None:
             segment.live -= entry.size
+            segment.keys.pop(key, None)
 
     def clear(self) -> None:
         """Drop everything (``flush_all``): every segment file is deleted
@@ -542,6 +629,7 @@ class DiskTier:
         self._index.clear()
         self._segments.clear()
         self._used = 0
+        self._written = 0
         self._active = None
         now = self._clock()
         paths = sorted(self._directory.glob(_SEGMENT_GLOB))
@@ -561,7 +649,7 @@ class DiskTier:
         if self._segments and max(self._segments) == max_file_id:
             # the newest file scanned clean (possibly truncated): append on
             self._open_segment(max_file_id)
-            if self._active_handle.tell() >= self._segment_bytes:
+            if self._active_bytes >= self._segment_bytes:
                 self._seal_active()
         else:
             # newest file unreadable (wrong magic / unopenable) or no
@@ -586,51 +674,40 @@ class DiskTier:
                 while True:
                     offset = handle.tell()
                     try:
-                        body = read_record(handle)
+                        body = read_frame(handle)
+                        if body is None:
+                            break
+                        (tombstone, key, payload, size, cost, expire_at,
+                         written_at, flags) = _decode(body)
                     except SnapshotCorruptError:
                         clean = False
                         break
-                    if body is None:
-                        break
                     valid = handle.tell()
-                    key = body.get("k")
-                    if not isinstance(key, str):
-                        continue
-                    if "t" in body:
-                        previous = self._index.pop(key, None)
-                        if previous is not None:
-                            self._account_dead_recovering(previous)
-                        continue
-                    try:
-                        size = int(body["s"])
-                        cost = body["c"]
-                        expire_at = float(body.get("e", 0.0))
-                        written_at = float(body.get("w", 0.0))
-                    except (KeyError, TypeError, ValueError):
+                    previous = self._index.pop(key, None)
+                    if previous is not None:
+                        self._account_dead(key, previous)
+                    if tombstone:
                         continue
                     segment.written += size
                     segment.records += 1
+                    self._written += size
                     if expire_at:
                         remaining = expire_at - written_at
                         if remaining <= 0:
                             continue
                         expire_at = now + remaining
-                    previous = self._index.pop(key, None)
-                    if previous is not None:
-                        self._account_dead_recovering(previous)
                     self._index[key] = _IndexEntry(
-                        segment_id, offset, size, cost, expire_at,
-                        int(body.get("f", 0)), "v" in body)
-                    segment.live += size
-                    self._used += size
+                        segment_id, offset, size, cost, expire_at, flags,
+                        payload is not None)
+                    self._account_live(key, segment, size)
                     adopted += 1
         except (OSError, SnapshotCorruptError):
             # unreadable / wrong magic: nothing served from this file
             # (including records adopted before a mid-scan read error)
             self.torn_segments += 1
-            for key in [k for k, entry in self._index.items()
-                        if entry.segment_id == segment_id]:
+            for key in segment.keys:
                 self._used -= self._index.pop(key).size
+            self._written -= segment.written
             self._segments.pop(segment_id, None)
             return 0
         if not clean:
@@ -642,12 +719,6 @@ class DiskTier:
                 except OSError:
                     pass
         return adopted
-
-    def _account_dead_recovering(self, entry: _IndexEntry) -> None:
-        self._used -= entry.size
-        segment = self._segments.get(entry.segment_id)
-        if segment is not None:
-            segment.live -= entry.size
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
@@ -721,15 +792,22 @@ class DiskTier:
         }
 
     def check_invariants(self) -> None:
-        """Index, segment accounting, and byte totals agree (test hook)."""
+        """Index, segment accounting, and byte totals agree (test hook):
+        every running total is recomputed from scratch and compared."""
         if sum(entry.size for entry in self._index.values()) != self._used:
             raise ConfigurationError("tier byte accounting out of sync")
         if self._used > self._capacity:
             raise ConfigurationError("tier capacity exceeded")
+        if sum(s.written for s in self._segments.values()) != self._written:
+            raise ConfigurationError("tier written-byte total out of sync")
+        if list(self._segments) != sorted(self._segments):
+            raise ConfigurationError("tier segments out of id order")
         live_by_segment: Dict[int, int] = {}
-        for entry in self._index.values():
+        keys_by_segment: Dict[int, set] = {}
+        for key, entry in self._index.items():
             live_by_segment[entry.segment_id] = \
                 live_by_segment.get(entry.segment_id, 0) + entry.size
+            keys_by_segment.setdefault(entry.segment_id, set()).add(key)
             if entry.segment_id not in self._segments:
                 raise ConfigurationError(
                     "index references a collected segment")
@@ -737,3 +815,6 @@ class DiskTier:
             if live_by_segment.get(segment_id, 0) != segment.live:
                 raise ConfigurationError(
                     f"segment {segment_id} live-byte accounting out of sync")
+            if keys_by_segment.get(segment_id, set()) != set(segment.keys):
+                raise ConfigurationError(
+                    f"segment {segment_id} live-key set out of sync")

@@ -9,6 +9,7 @@ fault, recovery serves only intact records and never a corrupt one.
 
 import os
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,14 @@ from hypothesis import strategies as st
 
 from repro.cache.outcomes import Outcome
 from repro.cache.store import StoreConfig
+from repro.core import CampPolicy
 from repro.errors import ConfigurationError
+from repro.persistence.format import (
+    PersistenceError,
+    encode_payload,
+    write_magic,
+    write_record,
+)
 from repro.tiering import (
     AlwaysDemote,
     CostDensityFilter,
@@ -24,6 +32,7 @@ from repro.tiering import (
     NeverDemote,
     TieredBackend,
 )
+from repro.tiering.disk_tier import SEGMENT_MAGIC
 
 
 def segment_files(directory) -> "list[pathlib.Path]":
@@ -169,6 +178,43 @@ class TestRecoveryAccounting:
         recovered.close()
 
 
+class TestCompaction:
+    def test_gc_copies_live_frames_unchanged(self, tmp_path):
+        """Compaction moves each live record's frame byte for byte (the
+        write clock inside it included) and keeps every total in sync."""
+        clock = [10.0]
+        tier = DiskTier(str(tmp_path), 1 << 20, segment_bytes=1024,
+                        clock=lambda: clock[0], auto_gc_dead_ratio=None)
+        keys = fill(tier, 30)
+        first = tier.peek(keys[0]).segment_id
+        doomed = [key for key in keys if tier.peek(key).segment_id == first]
+        survivor = doomed.pop()
+        for key in doomed:
+            tier.delete(key)
+        frame = self.frame_of(tier, survivor)
+        clock[0] = 99_999.5                    # a re-encode would show
+        assert tier.gc() >= 1
+        assert tier.peek(survivor).segment_id != first
+        assert self.frame_of(tier, survivor) == frame
+        assert tier.bytes_rewritten == 200
+        tier.check_invariants()
+        tier.close()
+        recovered = DiskTier(str(tmp_path), 1 << 20, segment_bytes=1024)
+        for key in keys:
+            assert (recovered.get(key) is None) == (key in doomed)
+        recovered.check_invariants()
+        recovered.close()
+
+    @staticmethod
+    def frame_of(tier: DiskTier, key: str) -> bytes:
+        entry = tier.peek(key)
+        path = tier.directory / f"segment-{entry.segment_id:06d}.seg"
+        data = path.read_bytes()
+        length = int.from_bytes(data[entry.offset:entry.offset + 4],
+                                "little")
+        return data[entry.offset:entry.offset + 8 + length]
+
+
 class TestGarbageFrames:
     def test_garbage_mid_segment_stops_scan_cleanly(self, tmp_path):
         tier = DiskTier(str(tmp_path), 1 << 20, recover=False)
@@ -210,6 +256,64 @@ class TestGarbageFrames:
         assert len(served) < len(keys)
         recovered.check_invariants()
         recovered.close()
+
+    def test_format_1_segments_are_quarantined_and_left_alone(self,
+                                                              tmp_path):
+        """A directory still holding ``CAMPSEG1`` files (JSON bodies)
+        builds; none of their records is served, they count as torn, and
+        neither recovery nor traffic appends to or rewrites them."""
+        old_keys = [f"old-{index}" for index in range(5)]
+        old_files = []
+        for segment_id in (1, 2):
+            path = tmp_path / f"segment-{segment_id:06d}.seg"
+            with path.open("wb") as handle:
+                write_magic(handle, b"CAMPSEG1")
+                for key in old_keys:
+                    write_record(handle, {
+                        "k": key, "s": 100, "c": 5.0, "e": 0.0,
+                        "w": 1.0, "f": 0, "v": encode_payload(b"old")})
+            old_files.append((path, path.read_bytes()))
+
+        store = (StoreConfig(300)
+                 .tiered(str(tmp_path), 1 << 20, segment_bytes=1024)
+                 .build())
+        backend = store.kvs
+        assert store.stats()["tier_torn_segments"] == 2
+        for key in old_keys:
+            assert not backend.tier.contains(key)
+            assert store.get(key).outcome is Outcome.MISS
+        for index in range(40):    # demote, promote, seal and collect
+            store.put(f"new-{index}", 100, 5.0, value=b"n" * 30)
+            store.get(f"new-{index // 2}")
+        assert backend.tier.segments_created > 1
+        backend.check_consistency()
+        backend.close()
+        for path, original in old_files:
+            assert path.read_bytes() == original
+        new_files = [path for path in segment_files(tmp_path)
+                     if path not in {old for old, _ in old_files}]
+        assert new_files
+        for path in new_files:
+            assert path.read_bytes()[:8] == SEGMENT_MAGIC == b"CAMPSEG2"
+
+    def test_intact_frame_of_another_key_or_a_tombstone_not_served(
+            self, tmp_path):
+        """A CRC-intact frame is served only when it is a value record
+        for the key asked for."""
+        tier = DiskTier(str(tmp_path), 1 << 20, recover=False)
+        fill(tier, 3)
+        tier.delete("key-0002")             # its tombstone ends the file
+        tombstone_at = (segment_files(tmp_path)[-1].stat().st_size
+                        - (8 + 1 + len("key-0002")))
+        tier.put("key-0002", b"again", 200, cost=10.0)
+        tier.peek("key-0000").offset = tier.peek("key-0001").offset
+        tier.peek("key-0002").offset = tombstone_at
+        assert tier.get("key-0000") is None
+        assert tier.read_value("key-0002") is None
+        assert tier.corrupt_reads == 2
+        assert len(tier) == 1 and tier.get("key-0001") is not None
+        tier.check_invariants()
+        tier.close()
 
     def test_corrupt_read_never_served_and_entry_dropped(self, tmp_path):
         """Corruption discovered at read time (after a clean recovery)
@@ -366,3 +470,141 @@ class TestTtlThroughTheTier:
         assert item is not None
         assert item.expire_at == pytest.approx(clock[0] + 30.0, abs=1.0)
         backend.close()
+
+
+class TestClockIndependence:
+    """Where segment boundaries fall decides which segments capacity
+    pressure evicts, so it must not depend on the clock's reading."""
+
+    @staticmethod
+    def replay(directory, now: float) -> "list[Outcome]":
+        rng = random.Random(31)
+        n_keys = 3_000
+        weights = [1.0 / (rank + 1) ** 0.8 for rank in range(n_keys)]
+        ranks = rng.choices(range(n_keys), weights=weights, k=20_000)
+        store = (StoreConfig(40_000).policy(CampPolicy())
+                 .clock(lambda: now)
+                 .tiered(str(directory), 200_000, segment_bytes=4_096,
+                         recover=False)
+                 .build())
+        outcomes = []
+        try:
+            for rank in ranks:
+                key = f"key-{rank:05d}"
+                size = 20 + rank * 37 % 180
+                outcome = store.get(key).outcome
+                if outcome is Outcome.MISS:
+                    outcome = store.put_outcome(
+                        key, size, (1, 100, 10_000)[rank % 3],
+                        value=key.encode() * (size // 9))
+                outcomes.append(outcome)
+            assert store.stats()["tier_evictions"] > 0
+            store.check_consistency()
+        finally:
+            store.kvs.close()
+        return outcomes
+
+    def test_outcomes_do_not_depend_on_the_clock_reading(
+            self, tmp_path_factory):
+        early = self.replay(tmp_path_factory.mktemp("early"), 5.0)
+        late = self.replay(tmp_path_factory.mktemp("late"), 1_234_567.891)
+        assert early == late
+
+
+NOW = 100.0
+
+key_texts = st.one_of(
+    st.text(max_size=24),
+    st.sampled_from(["k" * 65_535, "é" * 32_767, "\U0001F600" * 16_383]))
+payloads = st.one_of(st.none(), st.just(b""), st.binary(max_size=300))
+costs = st.one_of(
+    st.sampled_from([-(1 << 63), (1 << 63) - 1, 0]),
+    st.integers(-(1 << 63), (1 << 63) - 1),
+    st.floats(allow_nan=False))
+expiries = st.one_of(st.just(0.0), st.floats(NOW + 1.0, 1e15))
+flag_words = st.integers(0, (1 << 32) - 1)
+
+
+def frozen_tier(directory) -> DiskTier:
+    return DiskTier(str(directory), 1 << 62, clock=lambda: NOW,
+                    auto_gc_dead_ratio=None)
+
+
+class TestRecordCodec:
+    """Every value record reads back as it was put, out-of-range fields
+    are refused before anything is written, and no damaged frame is
+    ever served."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=key_texts, value=payloads, size=st.integers(0, 1 << 40),
+           cost=costs, expire_at=expiries, flags=flag_words)
+    def test_round_trip(self, tmp_path_factory, key, value, size, cost,
+                        expire_at, flags):
+        directory = tmp_path_factory.mktemp("codec")
+        tier = frozen_tier(directory)
+        assert tier.put(key, value, size, cost, expire_at, flags)
+        live = tier.get(key)
+        tier.close()
+        recovered = frozen_tier(directory)
+        for record in (live, recovered.get(key)):
+            assert record is not None
+            assert record.value == value
+            assert (record.value is None) == (value is None)
+            assert (record.size, record.flags) == (size, flags)
+            assert record.cost == cost and type(record.cost) is type(cost)
+            assert record.expire_at == pytest.approx(expire_at)
+        recovered.check_invariants()
+        recovered.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(["cost", "flags", "key"]),
+           data=st.data())
+    def test_out_of_range_refused_and_prior_copy_served(
+            self, tmp_path_factory, field, data):
+        directory = tmp_path_factory.mktemp("range")
+        tier = frozen_tier(directory)
+        assert tier.put("stable", b"v1", 10, 5)
+        before = [path.read_bytes() for path in segment_files(directory)]
+        key, cost, flags = "stable", 5, 0
+        if field == "cost":
+            cost = data.draw(st.one_of(
+                st.integers(1 << 63, 1 << 70),
+                st.integers(-(1 << 70), -(1 << 63) - 1)))
+        elif field == "flags":
+            flags = data.draw(st.one_of(
+                st.integers(1 << 32, 1 << 40), st.integers(-(1 << 40), -1)))
+        else:
+            key = data.draw(st.sampled_from(
+                ["k" * 65_536, "é" * 32_768, "\ud800"]))
+        with pytest.raises(PersistenceError):
+            tier.put(key, b"v2", 10, cost, flags=flags)
+        # nothing was written, and the prior copy still serves
+        assert [path.read_bytes()
+                for path in segment_files(directory)] == before
+        record = tier.get("stable")
+        assert record is not None and record.value == b"v1"
+        assert record.cost == 5 and record.flags == 0
+        tier.check_invariants()
+        tier.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=key_texts, value=payloads, cost=costs, data=st.data())
+    def test_flipped_byte_never_served(self, tmp_path_factory, key, value,
+                                       cost, data):
+        directory = tmp_path_factory.mktemp("flip")
+        tier = frozen_tier(directory)
+        assert tier.put(key, value, 50, cost)
+        offset = tier.peek(key).offset
+        path = segment_files(directory)[-1]
+        raw = bytearray(path.read_bytes())
+        position = data.draw(st.integers(offset, len(raw) - 1))
+        raw[position] ^= data.draw(st.integers(1, 255))
+        path.write_bytes(bytes(raw))
+        assert tier.get(key) is None
+        assert tier.corrupt_reads == 1
+        tier.check_invariants()
+        tier.close()
+        recovered = frozen_tier(directory)
+        assert recovered.get(key) is None
+        recovered.check_invariants()
+        recovered.close()
