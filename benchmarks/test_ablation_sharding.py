@@ -6,7 +6,7 @@ asserted on any host.  The striped per-shard locks should also pay off
 under concurrency — shards=4/8 beat the single-mutex configuration on
 the threaded driver — but threads only run side by side where there are
 cores for them, so that timing leg is asserted on hosts with >= 4 CPUs
-and skipped elsewhere.
+and neither run nor asserted elsewhere.
 """
 
 import os
@@ -15,9 +15,7 @@ import pytest
 from conftest import bench_scale
 
 from repro.experiments import run_experiment
-
-#: fewer CPUs than this cannot resolve 8 threads of lock contention
-TIMING_MIN_CPUS = 4
+from repro.experiments.ablations import SHARDING_TIMING_MIN_CPUS
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +38,10 @@ def test_striped_locks_beat_one_mutex_under_threads(table):
         pytest.skip("a tiny trace split 8 ways is a few hundred events "
                     "per thread: start/join costs swamp contention")
     cpus = os.cpu_count() or 1
-    if cpus < TIMING_MIN_CPUS:
+    if cpus < SHARDING_TIMING_MIN_CPUS:
         pytest.skip(f"{cpus} CPUs cannot run 8 threads side by side; the "
-                    f"timing leg needs >= {TIMING_MIN_CPUS}")
+                    f"experiment runs the timing leg only on >= "
+                    f"{SHARDING_TIMING_MIN_CPUS}")
     threaded = {row[0]: row[3] for row in table.rows}
     for shards in (4, 8):
         assert threaded[shards] < threaded[1], (

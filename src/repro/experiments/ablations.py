@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -135,6 +136,9 @@ SHARDING_STREAM_PASSES = 6
 #: shorter interval raises the preemption rate, surfacing on a small
 #: box the convoy behaviour a busy multi-core server sees constantly.
 SHARDING_SWITCH_INTERVAL = 0.001
+#: fewer CPUs than this cannot run 8 threads side by side, so lock
+#: contention cannot be resolved and the threaded leg is not run
+SHARDING_TIMING_MIN_CPUS = 4
 
 
 def _sharded_event_streams(trace, threads: int):
@@ -191,7 +195,9 @@ def run_sharding_ablation(scale: str = "default") -> List[Table]:
     on one mutex (the contended handoffs dominate even under the GIL);
     with striped per-shard locks contention drops roughly linearly.
     Decision quality (miss rate, cost-miss ratio) stays measured on the
-    deterministic single-threaded replay.
+    deterministic single-threaded replay.  On a host with fewer than
+    ``SHARDING_TIMING_MIN_CPUS`` CPUs the threaded leg is not run and
+    its column reads ``-``.
     """
     trace = primary_trace(scale)
     table = Table(
@@ -201,11 +207,13 @@ def run_sharding_ablation(scale: str = "default") -> List[Table]:
         % (SHARDING_THREADS, SHARDING_TIMING_REPEATS),
         ["shards", "miss_rate", "cost_miss_ratio", "threaded_wall_seconds"])
     streams = _sharded_event_streams(trace, SHARDING_THREADS)
+    repeats = (SHARDING_TIMING_REPEATS
+               if (os.cpu_count() or 1) >= SHARDING_TIMING_MIN_CPUS else 0)
     for shards in (1, 2, 4, 8):
         result = run_policy_on_trace(
             ShardedCampPolicy(shards=shards, precision=5), trace, RATIO)
         threaded = None
-        for _ in range(SHARDING_TIMING_REPEATS):
+        for _ in range(repeats):
             policy = ShardedCampPolicy(shards=shards, precision=5,
                                        stats=False)
             seconds = _threaded_policy_seconds(policy, streams)

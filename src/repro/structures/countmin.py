@@ -15,6 +15,7 @@ load stats).
 from __future__ import annotations
 
 import random
+import zlib
 from typing import List
 
 from repro.errors import ConfigurationError
@@ -51,7 +52,10 @@ class CountMinSketch:
 
     # ------------------------------------------------------------------
     def _indices(self, key: str) -> List[int]:
-        base = hash(key) & 0xFFFFFFFFFFFFFFFF
+        # CRC-32, not the built-in hash: that one is salted per process,
+        # so the same stream would count (and admit) differently in
+        # every process
+        base = zlib.crc32(key.encode("utf-8"))
         return [((base * salt) >> 32) % self._width for salt in self._salts]
 
     def add(self, key: str) -> None:

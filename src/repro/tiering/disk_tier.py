@@ -337,17 +337,21 @@ class DiskTier:
 
         ``tombstone`` (the default) appends a durable marker so recovery
         cannot resurrect the removed copy — promotions and overwrites
-        need this; capacity evictions do not (their whole segment dies).
+        need this; a whole-segment eviction does not (its file is
+        deleted).
         """
         entry = self._index.pop(key, None)
         if entry is None:
             return False
         self._account_dead(key, entry)
         if tombstone:
-            self._append(_TOMBSTONE_KIND + key.encode("utf-8"), logical=0)
-            self.tombstones_written += 1
+            self._write_tombstone(key)
         self._maybe_auto_gc()
         return True
+
+    def _write_tombstone(self, key: str) -> None:
+        self._append(_TOMBSTONE_KIND + key.encode("utf-8"), logical=0)
+        self.tombstones_written += 1
 
     def peek(self, key: str) -> Optional[_IndexEntry]:
         """The live index entry (metadata only, no disk read, no
@@ -382,7 +386,8 @@ class DiskTier:
         victim-tier entries are cache copies, losing one is a future
         miss, not data loss).  When only the active segment exists its
         oldest keys are evicted individually instead, so a tier smaller
-        than one segment still honours its budget.
+        than one segment still honours its budget; each gets a tombstone,
+        since its record stays in a file that recovery scans.
         """
         while self._used > self._capacity:
             # segments enter the dict in id order: the first that is not
@@ -404,6 +409,7 @@ class DiskTier:
             for key in victims:
                 self._account_dead(key, self._index.pop(key))
                 self.evictions += 1
+                self._write_tombstone(key)
             return
 
     def _evict_segment(self, segment: _Segment) -> None:

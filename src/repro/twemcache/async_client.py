@@ -5,16 +5,27 @@ request/response: every call pays a full network round trip.  This
 client keeps a pool of connections and *pipelines*: ``get_many`` /
 ``set_many`` write a whole batch of commands per connection in one
 ``send`` and only then read the replies, so N requests cost ~one round
-trip per pool connection instead of N.  Each connection is a transport
-over its own :class:`~repro.twemcache.protocol.ClientSession`, which
-renders the requests and parses the replies.
+trip per pool connection instead of N.
+
+Each connection is a callback :class:`asyncio.Protocol` over its own
+:class:`~repro.twemcache.protocol.ClientSession`: ``data_received``
+feeds the session, pops every reply it completes, and resolves the one
+waiting future once the exchange has all the replies it expects — no
+stream reader, no read loop, no ``drain``.  A connection carries one
+exchange at a time (the pool hands it to one caller), so callers never
+share a socket: two callers pipelined onto one connection march in
+lockstep and stop overlapping client and server CPU.
 
 Single-key ``get``/``set``/``delete`` work too (acquire a pooled
 connection, one round trip), so the client is a drop-in async
 counterpart for the sync surface, plus ``stats``/``version``/``save``.
 A single-key call and a whole batch each run under the one ``timeout``:
-a batch's per-connection exchanges run concurrently, so it waits no
-longer than one request.
+a batch writes every connection's commands before it awaits any reply,
+so it waits no longer than one request.  The deadline costs no timer
+per call: each exchange stores it on its connection, and the
+connection's one timer is armed only when none is pending; when it
+fires it re-arms for the current deadline, or expires the waiting
+exchange once that is past.
 """
 
 from __future__ import annotations
@@ -24,31 +35,120 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.faults.transport import apply_connect_faults, apply_read_faults
-from repro.twemcache.client import RECV_BYTES
 from repro.twemcache.protocol import ClientSession, Value
 
 __all__ = ["AsyncSocketClient"]
 
 Number = Union[int, float]
 
-#: stream buffer before the socket is paused: a large batch reply
-#: arrives without flow-control round trips
-_STREAM_LIMIT = 16 << 20
 
+class _Connection(asyncio.Protocol):
+    """One pooled socket, its protocol session and its deadline timer."""
 
-class _Connection:
-    """One pooled stream pair and its protocol session."""
+    __slots__ = ("session", "replies", "deadline", "_loop", "_transport",
+                 "_want", "_waiter", "_error", "_timer", "_lost")
 
-    __slots__ = ("reader", "writer", "session")
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self.session = ClientSession()
+        self.replies: list = []
+        self.deadline = 0.0
+        self._loop = loop
+        self._transport: Optional[asyncio.Transport] = None
+        self._want = 0
+        self._waiter: Optional[asyncio.Future] = None
+        self._error: Optional[BaseException] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._lost = loop.create_future()
+
+    # -- protocol callbacks --------------------------------------------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self.session.receive(data)
+        self._collect()
+
+    def connection_lost(self, exc) -> None:
+        if exc is None:
+            self.session.receive(b"")   # a reply cut short: ProtocolError
+        elif self._error is None:
+            self._error = exc
+        self._collect()
+        self._lost.set_result(None)
+
+    def _collect(self) -> None:
+        """Pop every reply the buffered bytes complete; wake the waiter
+        once the exchange has all it asked for, or the stream broke."""
+        session, replies = self.session, self.replies
+        try:
+            while session.pending:
+                reply = session.next_reply()
+                if reply is None:
+                    break
+                replies.append(reply)
+        except ProtocolError as exc:
+            self._error = self._error or exc
+        waiter = self._waiter
+        if waiter is None or waiter.done():
+            return
+        if len(replies) >= self._want:
+            self._waiter = None
+            waiter.set_result(None)
+        elif self._error is not None:
+            self._waiter = None
+            waiter.set_exception(self._error)
+
+    # -- the lazy deadline ---------------------------------------------
+    def _on_deadline(self) -> None:
+        self._timer = None
+        waiter = self._waiter
+        if waiter is None or waiter.done():
+            return                      # idle: stop until the next wait
+        if self._loop.time() >= self.deadline:
+            self._waiter = None
+            waiter.set_exception(asyncio.TimeoutError())
+        else:
+            self._timer = self._loop.call_at(self.deadline,
+                                             self._on_deadline)
+
+    # -- the exchange ----------------------------------------------------
+    def send(self, request: bytes, timeout: float) -> int:
+        """Write ``request`` (its replies are queued on the session) and
+        start an exchange due within ``timeout`` seconds; returns how
+        many replies it expects."""
+        self.replies = []
+        self.deadline = self._loop.time() + timeout
+        self._transport.write(request)
+        return self.session.pending
+
+    async def wait(self, want: int) -> None:
+        """Until ``want`` replies of this exchange have arrived, the
+        stream breaks, or :attr:`deadline` passes."""
+        if len(self.replies) >= want:
+            return
+        if self._error is not None:
+            raise self._error
+        self._want = want
+        waiter = self._waiter = self._loop.create_future()
+        if self._timer is None:
+            self._timer = self._loop.call_at(self.deadline,
+                                             self._on_deadline)
+        await waiter
+
+    def quit(self) -> None:
+        try:
+            self._transport.write(self.session.quit())
+        except (ConnectionError, RuntimeError):
+            pass
 
     def close(self) -> None:
-        self.writer.close()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._transport.close()
+
+    async def closed(self) -> None:
+        await self._lost
 
 
 class AsyncSocketClient:
@@ -81,10 +181,10 @@ class AsyncSocketClient:
     async def _connect(self) -> _Connection:
         host, port = self._address
         await apply_connect_faults(self._fault_plan, self._fault_target)
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port, limit=_STREAM_LIMIT),
+        loop = asyncio.get_running_loop()
+        _, conn = await asyncio.wait_for(
+            loop.create_connection(lambda: _Connection(loop), host, port),
             timeout=self._timeout)
-        conn = _Connection(reader, writer)
         self._all.append(conn)
         return conn
 
@@ -133,36 +233,29 @@ class AsyncSocketClient:
     # ------------------------------------------------------------------
     # exchanges
     # ------------------------------------------------------------------
-    async def _exchange(self, conn: _Connection, request: bytes) -> list:
-        """Write ``request`` on a checked-out connection and read every
-        reply its session expects.  Callers bound it by the timeout and
-        discard the connection on any raise."""
-        conn.writer.write(request)
-        await conn.writer.drain()
-        session, reader, plan = conn.session, conn.reader, self._fault_plan
-        replies = []
-        while session.pending:
-            if plan is not None:
-                # one read-seam opportunity per expected reply, so a
-                # plan's ``at`` does not depend on TCP segmentation
+    async def _replies(self, conn: _Connection, want: int) -> None:
+        """Wait for the ``want`` replies of the exchange just sent on a
+        checked-out connection, until its deadline.  Callers discard
+        the connection on any raise."""
+        plan = self._fault_plan
+        if plan is None:
+            await conn.wait(want)
+            return
+        for i in range(want):
+            # one read-seam opportunity per expected reply, so a plan's
+            # ``at`` does not depend on TCP segmentation; an injected
+            # stall runs under the exchange's deadline
+            async with asyncio.timeout_at(conn.deadline):
                 await apply_read_faults(plan, self._fault_target)
-            reply = session.next_reply()
-            while reply is None:
-                session.receive(await reader.read(RECV_BYTES))
-                reply = session.next_reply()
-            replies.append(reply)
-        return replies
+            await conn.wait(i + 1)
 
     async def _call(self, render, *args):
         """One request on one pooled connection: ``render(session,
         *args)`` gives its bytes; returns its reply."""
         conn = await self._acquire()
         try:
-            # a timeout scope, not wait_for: the exchange runs in this
-            # task, so the request is written now, not a loop turn later
-            async with asyncio.timeout(self._timeout):
-                replies = await self._exchange(
-                    conn, render(conn.session, *args))
+            want = conn.send(render(conn.session, *args), self._timeout)
+            await self._replies(conn, want)
         except BaseException:
             # BaseException, not Exception: CancelledError (an outer
             # wait_for / deadline budget expiring mid-read) must also
@@ -172,37 +265,32 @@ class AsyncSocketClient:
             self._release(conn, broken=True)
             raise
         self._release(conn)
-        return replies[0]
+        return conn.replies[0]
 
     async def _fan_out(self, items: list, render) -> List[list]:
         """Shard ``items`` over up to ``pool_size`` connections (shard i
         holds ``items[i::n]``), render each shard with ``render(session,
-        shard)`` and run the exchanges concurrently — under one timeout,
-        as a single exchange is; returns each connection's replies in
-        shard order."""
+        shard)`` and write them all before collecting any reply, so the
+        shards are served concurrently under one timeout, as a single
+        exchange is; returns each connection's replies in shard order."""
         conns = await self._checked_out(len(items))
         width = len(conns)
-        tasks: List[asyncio.Future] = []
         try:
-            for i, conn in enumerate(conns):
-                request = render(conn.session, items[i::width])
-                tasks.append(asyncio.ensure_future(
-                    self._exchange(conn, request)))
-            async with asyncio.timeout(self._timeout):
-                results = await asyncio.gather(*tasks)
+            wants = [conn.send(render(conn.session, items[i::width]),
+                               self._timeout)
+                     for i, conn in enumerate(conns)]
+            for conn, want in zip(conns, wants):
+                await self._replies(conn, want)
         except BaseException:
             # BaseException so an outer cancellation also reaches the
-            # cleanup below; quiesce sibling shards before tearing
-            # their sockets down, or they raise into the void mid-read
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            # cleanup below; a shard's unread replies would poison the
+            # next caller of its connection
             for conn in conns:
                 self._release(conn, broken=True)
             raise
         for conn in conns:
             self._release(conn)
-        return results
+        return [conn.replies for conn in conns]
 
     # ------------------------------------------------------------------
     # single-key operations
@@ -326,19 +414,13 @@ class AsyncSocketClient:
 
     async def close(self) -> None:
         self._closed = True
-        for conn in self._all:
-            try:
-                conn.writer.write(conn.session.quit())
-            except (ConnectionError, RuntimeError):
-                pass
-            conn.close()
-        for conn in self._all:
-            try:
-                await conn.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._all.clear()
+        conns, self._all = self._all, []
         self._idle.clear()
+        for conn in conns:
+            conn.quit()
+            conn.close()
+        for conn in conns:
+            await conn.closed()
 
     async def __aenter__(self) -> "AsyncSocketClient":
         return self

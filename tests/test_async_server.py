@@ -7,10 +7,15 @@ teardown, and the dual sync/async lifecycle.
 """
 
 import asyncio
+import gc
 import socket
+import struct
+import time
+import warnings
 
 import pytest
 
+from repro.faults import Fault, FaultPlan
 from repro.twemcache import (
     AsyncSocketClient,
     AsyncTwemcacheServer,
@@ -336,6 +341,127 @@ class TestPoolFailurePaths:
                 await stub.wait_closed()
 
         run(main())
+
+
+class TestLazyDeadline:
+    """Each connection keeps one deadline timer, armed only when none
+    is pending and re-armed for the current exchange when it fires."""
+
+    def test_timer_from_an_earlier_exchange_rearms_for_a_later_one(self):
+        """The first call arms a timer due at t=0.3; the second call,
+        sent at t=0.2 and answered at t=0.45, is still inside its own
+        deadline (t=0.5), so that timer must re-arm, not expire it."""
+        async def main():
+            engine = fresh_engine()
+            engine.set("k", b"v", cost=1)
+            plan = FaultPlan([Fault(kind="latency", seam="write", at=1,
+                                    delay=0.25)])
+            async with AsyncTwemcacheServer(engine,
+                                            fault_plan=plan) as server:
+                async with AsyncSocketClient(server.address, pool_size=1,
+                                             timeout=0.3) as client:
+                    started = time.perf_counter()
+                    assert (await client.get("k")).value == b"v"
+                    await asyncio.sleep(0.2 - (time.perf_counter()
+                                               - started))
+                    assert (await client.get("k")).value == b"v"
+                    elapsed = time.perf_counter() - started
+                    assert elapsed > 0.3       # outlived the first timer
+                return server.connections_served
+
+        assert run(main()) == 1
+
+    def test_connection_idle_past_the_timeout_is_reused(self):
+        async def main():
+            engine = fresh_engine()
+            async with AsyncTwemcacheServer(engine) as server:
+                async with AsyncSocketClient(server.address, pool_size=1,
+                                             timeout=0.1) as client:
+                    assert await client.set("k", b"v")
+                    await asyncio.sleep(0.3)   # its timer fires idle
+                    assert (await client.get("k")).value == b"v"
+                    assert await client.delete("k")
+                return server.connections_served
+
+        assert run(main()) == 1
+
+    def test_sequential_calls_arm_at_most_one_timer_per_connection(self):
+        async def main():
+            engine = fresh_engine()
+            engine.set("k", b"v", cost=1)
+            loop = asyncio.get_running_loop()
+            armed = []
+            call_at = loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                armed.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            async with AsyncTwemcacheServer(engine) as server:
+                async with AsyncSocketClient(server.address,
+                                             pool_size=2) as client:
+                    loop.call_at = counting_call_at
+                    try:
+                        for _ in range(5000):
+                            assert (await client.get("k")).value == b"v"
+                    finally:
+                        del loop.call_at
+            return len(armed)
+
+        assert 1 <= run(main()) <= 2
+
+    def test_reset_wakes_the_exchange_before_its_deadline(self):
+        """A peer reset fails the waiting exchange at once, not when
+        its deadline timer fires."""
+        from repro.errors import ProtocolError
+
+        async def main():
+            async def reset_after_request(reader, writer):
+                await reader.readline()
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+                writer.transport.abort()
+
+            stub = await asyncio.start_server(reset_after_request,
+                                              "127.0.0.1", 0)
+            address = stub.sockets[0].getsockname()[:2]
+            try:
+                async with AsyncSocketClient(address, pool_size=1,
+                                             timeout=5) as client:
+                    started = time.perf_counter()
+                    with pytest.raises((ConnectionError, ProtocolError)):
+                        await client.get("k")
+                    assert time.perf_counter() - started < 2
+                    assert client._available._value == 1
+                    assert client._idle == []
+            finally:
+                stub.close()
+                await stub.wait_closed()
+
+        run(main())
+
+    def test_close_leaves_no_connection_and_no_resource_warning(self):
+        async def main():
+            engine = fresh_engine()
+            async with AsyncTwemcacheServer(engine) as server:
+                client = AsyncSocketClient(server.address, pool_size=3)
+                await asyncio.gather(*[
+                    client.set(f"k{i}", b"v") for i in range(12)])
+                assert server.active_connections == 3
+                await client.close()
+                for _ in range(200):
+                    if server.active_connections == 0:
+                        break
+                    await asyncio.sleep(0.01)
+                return server.active_connections
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(main()) == 0
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestServerSessionUnit:

@@ -1,7 +1,10 @@
 """Tests for the extension round: count-min/TinyLFU, trace analysis,
 windowed metrics, and the decision-agreement tool."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +103,37 @@ class TestTinyLfuAdmission:
     def test_invalid_threshold(self):
         with pytest.raises(ConfigurationError):
             TinyLfuAdmission(threshold=0)
+
+    def test_estimates_and_decisions_independent_of_hash_seed(self):
+        # the sketch hashes with CRC-32, so the salted built-in hash of
+        # one process or another must not move a count or a decision; a
+        # narrow sketch makes every row collide, so a salted hash shows
+        replay = (
+            "import random\n"
+            "from repro.core import TinyLfuAdmission\n"
+            "from repro.structures import CountMinSketch\n"
+            "sketch = CountMinSketch(width=32, depth=3,"
+            " sample_window=500)\n"
+            "admission = TinyLfuAdmission(threshold=3, sketch=sketch)\n"
+            "rng = random.Random(6)\n"
+            "decisions = ''.join(\n"
+            "    'A' if admission.admit(f'k{rng.randrange(300)}', 1, 1)\n"
+            "    else '.' for _ in range(2000))\n"
+            "print(decisions)\n"
+            "print(' '.join(str(sketch.estimate(f'k{i}'))"
+            " for i in range(300)))\n")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            done = subprocess.run([sys.executable, "-c", replay], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=60, check=True)
+            outputs.append(done.stdout.split("\n"))
+        decisions, estimates = outputs[0][0], outputs[0][1]
+        assert 0 < decisions.count("A") < len(decisions)
+        assert len(set(estimates.split())) > 1
+        assert outputs[0] == outputs[1]
 
 
 class TestTraceAnalysis:

@@ -177,6 +177,25 @@ class TestRecoveryAccounting:
         recovered.check_invariants()             # live-byte accounting
         recovered.close()
 
+    def test_key_evicted_from_the_active_segment_stays_evicted(
+            self, tmp_path):
+        """Regression: a key evicted on its own from the only (active)
+        segment kept its record in the file with nothing superseding
+        it, so a reopen after a later delete freed room served it
+        again, with its old payload."""
+        tier = DiskTier(str(tmp_path), 1000, recover=False)
+        for key in ("x", "y", "z"):
+            tier.put(key, key.encode() * 10, 400, cost=5.0)
+        assert sorted(tier.keys()) == ["y", "z"]     # x evicted
+        tier.delete("y")
+        tier.close()
+
+        recovered = DiskTier(str(tmp_path), 1000, recover=True)
+        assert sorted(recovered.keys()) == ["z"]
+        assert recovered.get("x") is None
+        recovered.check_invariants()
+        recovered.close()
+
 
 class TestCompaction:
     def test_gc_copies_live_frames_unchanged(self, tmp_path):
