@@ -65,7 +65,8 @@ def run(tier_path: str) -> None:
 
     recovered = DiskTier(tier_path, disk, recover=True)
     print(f"after the crash: {len(recovered)} records back in the index "
-          f"({recovered.recovered_records} frames scanned, "
+          f"({recovered.recovered_records} value records adopted, "
+          f"superseded ones included; "
           f"{recovered.torn_segments} torn segment(s) repaired)")
     for key in survivors:
         record = recovered.get(key)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace as dataclass_replace
-from typing import (Callable, Dict, Iterable, List, Optional, Protocol,
-                    Tuple, Union)
+from operator import attrgetter
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Protocol, Tuple, Union)
 
 from repro.cache.outcomes import Outcome
 from repro.core.admission import AdmissionController
@@ -339,33 +340,48 @@ class KVS:
             self._notify_evict(victim, explicit=False)
         return evicted
 
-    def restore(self, items: Iterable[CacheItem],
+    def restore(self, items: Union[Iterable[CacheItem],
+                                   Mapping[str, CacheItem]],
                 policy_state: Dict[str, object]) -> List[CacheItem]:
         """Install a durable snapshot into this (empty) store.
 
         The policy state is imported first — it must list exactly the
-        snapshot's items — then each item is installed verbatim (sizes
+        snapshot's items — then the items are installed verbatim (sizes
         are already overhead-charged; expiry rebasing is the snapshot
-        layer's job) and listeners see it as an insert.  If the snapshot
-        was taken at a larger capacity than this store now has, the
-        policy evicts down to fit; the evicted items are returned so the
-        caller can account for them.
+        layer's job) and listeners see each as an insert.  ``items`` is
+        an iterable of items, or a key -> item mapping that may fill while
+        the policy takes its rows (the snapshot decoder's single pass,
+        :class:`~repro.persistence.snapshot.SnapshotReader`); a mapping is
+        adopted as it stands.  If the snapshot was taken at a larger
+        capacity than this store now has, the policy evicts down to fit;
+        the evicted items are returned so the caller can account for them.
+
+        A corrupt record met by the decoder raises out of the policy's
+        import, which is all or nothing, so the store and its policy are
+        left empty and another snapshot can be restored into them.
         """
         if self._items:
             raise ConfigurationError(
                 f"restore requires an empty store; {len(self._items)} "
                 f"items are resident")
         self._policy.import_state(policy_state)
-        for item in items:
-            if item.key in self._items:
-                raise ConfigurationError(
-                    f"snapshot lists {item.key!r} twice")
-            self._items[item.key] = item
-            self._used += item.size
-            self._notify_insert(item)
-        if len(self._policy) != len(self._items):
+        table = self._items
+        if isinstance(items, Mapping):
+            table.update(items)
+            self._used = sum(map(attrgetter("size"), table.values()))
+        else:
+            for item in items:
+                if item.key in table:
+                    raise ConfigurationError(
+                        f"snapshot lists {item.key!r} twice")
+                table[item.key] = item
+                self._used += item.size
+        if len(self._policy) != len(table):
             raise ConfigurationError(
                 "snapshot policy state disagrees with its item set")
+        if self._listeners:
+            for item in table.values():
+                self._notify_insert(item)
         evicted: List[CacheItem] = []
         while self._used > self._capacity:
             victim_key = self._policy.pop_victim()
@@ -459,6 +475,9 @@ class KVS:
 
     def resident_items(self) -> Iterable[CacheItem]:
         return self._items.values()
+
+    def resident_keys(self) -> Iterable[str]:
+        return self._items.keys()
 
     def check_consistency(self) -> None:
         """Verify byte accounting and store/policy agreement (test hook)."""

@@ -898,9 +898,9 @@ class StoreConfig:
             # keys whose payload did not survive (log-replayed inserts,
             # or snapshot rows saved without values): get_or_compute
             # reloads these once instead of handing back a None value
-            store._lost_values = {
-                item.key for item in kvs.resident_items()
-            } - set(report.payloads)
+            lost = set(kvs.resident_keys())
+            lost.difference_update(report.payloads)
+            store._lost_values = lost
         manager = PersistenceManager(
             kvs, self._persistence_config,
             payload_source=store._snapshot_payloads_unlocked,

@@ -264,7 +264,15 @@ class ClusterSupervisor:
         if node.process is not None:
             node.process.kill()
             node.process.wait(timeout=10)
-            node.process = None
+            self._forget_process(node)
+
+    @staticmethod
+    def _forget_process(node: _Node) -> None:
+        """Drop an exited node's process, closing its stdout pipe."""
+        process = node.process
+        node.process = None
+        if process is not None and process.stdout is not None:
+            process.stdout.close()
 
     # ------------------------------------------------------------------
     # drills
@@ -276,7 +284,7 @@ class ClusterSupervisor:
             return
         node.process.kill()
         node.process.wait(timeout=10)
-        node.process = None
+        self._forget_process(node)
         self._write_manifest()
 
     def stop_node(self, name: str, timeout: float = 15.0) -> None:
@@ -290,7 +298,7 @@ class ClusterSupervisor:
         except subprocess.TimeoutExpired:   # pragma: no cover - stuck node
             node.process.kill()
             node.process.wait(timeout=10)
-        node.process = None
+        self._forget_process(node)
         self._write_manifest()
 
     def pause(self, name: str) -> None:
@@ -363,7 +371,7 @@ class ClusterSupervisor:
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     node.process.kill()
                     node.process.wait(timeout=10)
-                node.process = None
+                self._forget_process(node)
         if self._own_state_dir:
             shutil.rmtree(self._state_dir, ignore_errors=True)
 

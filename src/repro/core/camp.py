@@ -56,7 +56,8 @@ property tests, stats on and off.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.policy import CacheItem, EvictionPolicy
 from repro.core.rounding import RatioConverter
@@ -505,44 +506,103 @@ class CampPolicy(EvictionPolicy):
     # ------------------------------------------------------------------
     # durable state (snapshot/restore hooks)
     # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, object]:
+    def export_stream(self) -> Tuple[Dict[str, object],
+                                     Iterator[Tuple[object, ...]]]:
         """Everything a restored CAMP needs to evict identically: the
         global clocks L/seq and the adaptive multiplier as scalars, and
-        one ``[key, size, cost, H, seq, ratio_key]`` row per member —
+        one ``(key, size, cost, H, seq, ratio_key)`` row per member —
         queue by queue in creation order, head-to-tail inside each queue,
         so LRU order survives.  Queue ids (rounded ratios) ride along so
         migration history survives even when the current multiplier
         would round a member into a different queue today."""
-        entries = [[e.key, e.size, e.cost, e.h, e.seq, ratio_key]
-                   for ratio_key, queue in self._queues.items()
-                   for e in queue.items]
-        return {
+        state = {
             "policy": self.name,
             "precision": self._precision,
             "reround_on_hit": self._reround_on_hit,
             "L": self._L,
             "seq": self._seq,
             "multiplier": self._converter.multiplier,
-            "entries": entries,
         }
+        return state, self._rows()
+
+    def _rows(self) -> Iterator[Tuple[object, ...]]:
+        for ratio_key, queue in self._queues.items():
+            sentinel = queue.items._sentinel
+            entry = sentinel.next
+            while entry is not sentinel:
+                yield (entry.key, entry.size, entry.cost, entry.h, entry.seq,
+                       ratio_key)
+                entry = entry.next
+
+    def export_state(self) -> Dict[str, object]:
+        state, rows = self.export_stream()
+        state["entries"] = [list(row) for row in rows]
+        return state
 
     def import_state(self, state: Dict[str, object]) -> None:
+        """All or nothing: when taking a row raises, the members taken so
+        far are dropped and the scalars are left as they were."""
         self._check_importable(state)
-        self._precision = state["precision"]
-        self._reround_on_hit = bool(state["reround_on_hit"])
-        self._L = state["L"]
-        self._seq = state["seq"]
-        self._converter.observe(int(state["multiplier"]))
-        for key, size, cost, h, seq, ratio_key in state["entries"]:
-            if key in self._entries:
+        precision = state["precision"]
+        reround_on_hit = bool(state["reround_on_hit"])
+        L, seq, multiplier = state["L"], state["seq"], int(state["multiplier"])
+        self._index = []    # an empty policy's index holds stale tuples only
+        try:
+            self._import_rows(state["entries"])
+        except BaseException:
+            self._entries = {}
+            self._queues = {}
+            self._index = []
+            self._mirror.clear()
+            raise
+        self._precision = precision
+        self._reround_on_hit = reround_on_hit
+        self._L = L
+        self._seq = seq
+        self._converter.observe(multiplier)
+
+    def _import_rows(self, rows: Iterable[Sequence[object]]) -> None:
+        entries = self._entries
+        queues = self._queues
+        new_entry = _CampEntry.__new__
+        queue_key = None
+        for key, size, cost, h, seq, ratio_key in rows:
+            # _CampEntry.__init__ inlined, as on the insert path; mult=-1:
+            # a snapshot does not say which multiplier each member was
+            # rounded under, so the first hit after a restore always
+            # rerounds — exactly the seed's behaviour
+            entry = new_entry(_CampEntry)
+            entry.key = key
+            entry.size = size
+            entry.cost = cost
+            entry.h = h
+            entry.seq = seq
+            entry.ratio_key = ratio_key
+            entry.mult = -1
+            if entries.setdefault(key, entry) is not entry:
                 raise ConfigurationError(
                     f"snapshot lists {key!r} in two queues")
-            # mult=-1: a snapshot does not say which multiplier each
-            # member was rounded under, so the first hit after a
-            # restore always rerounds — exactly the seed's behaviour
-            entry = _CampEntry(key, size, cost, h, seq, ratio_key, -1)
-            self._entries[key] = entry
-            self._append_to_queue(entry)
+            # rows come queue by queue: the tail of the queue last
+            # appended to is usually where this one goes too
+            if ratio_key != queue_key:
+                queue_key = ratio_key
+                queue = queues.get(ratio_key)
+                if queue is None:
+                    entry.prev = entry.next = entry._list = None
+                    self._append_to_queue(entry)
+                    queue = entry.queue
+                    continue
+            # a tail append never moves the head: the index is untouched
+            items = queue.items
+            sentinel = items._sentinel
+            last = sentinel.prev
+            entry.prev = last
+            entry.next = sentinel
+            last.next = entry
+            sentinel.prev = entry
+            entry._list = items
+            items._size += 1
+            entry.queue = queue
 
     def stats(self) -> Dict[str, Union[int, float]]:
         return {

@@ -178,19 +178,28 @@ class GdsPolicy(EvictionPolicy):
         }
 
     def import_state(self, state: Dict[str, object]) -> None:
+        """All or nothing: when taking a row raises, the members taken so
+        far are dropped and the scalars are left as they were."""
         self._check_importable(state)
-        self._integerize = bool(state["integerize"])
-        self._L = state["L"]
-        self._seq = state["seq"]
-        self._converter.observe(int(state["multiplier"]))
-        for row in state["entries"]:
-            key = row[0]
-            if key in self._entries:
-                raise ConfigurationError(f"snapshot lists {key!r} twice")
-            entry = HeapEntry((row[3], row[4]),
-                              CacheItem(key, row[1], row[2]))
-            self._heap.push(entry)
-            self._entries[key] = entry
+        integerize = bool(state["integerize"])
+        L, seq, multiplier = state["L"], state["seq"], int(state["multiplier"])
+        try:
+            for row in state["entries"]:
+                key = row[0]
+                if key in self._entries:
+                    raise ConfigurationError(f"snapshot lists {key!r} twice")
+                entry = HeapEntry((row[3], row[4]),
+                                  CacheItem(key, row[1], row[2]))
+                self._heap.push(entry)
+                self._entries[key] = entry
+        except BaseException:
+            self._heap.clear()
+            self._entries.clear()
+            raise
+        self._integerize = integerize
+        self._L = L
+        self._seq = seq
+        self._converter.observe(multiplier)
 
     def stats(self) -> Dict[str, Union[int, float]]:
         return {

@@ -69,5 +69,16 @@ class GdsfPolicy(GdsPolicy):
         return state
 
     def import_state(self, state: Dict[str, object]) -> None:
-        super().import_state(state)
-        self._freq = {row[0]: row[5] for row in state["entries"]}
+        freq = self._freq
+
+        def rows():
+            # one pass: a row's counter is kept once GDS has taken it
+            for row in state["entries"]:
+                yield row
+                freq[row[0]] = row[5]
+
+        try:
+            super().import_state({**state, "entries": rows()})
+        except BaseException:
+            freq.clear()
+            raise

@@ -80,6 +80,13 @@ class LruPolicy(EvictionPolicy):
         return {"policy": self.name, "entries": entries}
 
     def import_state(self, state: Dict[str, object]) -> None:
+        """All or nothing: when taking a row raises, the keys taken so far
+        are dropped."""
         self._check_importable(state)
-        for key, size, cost in state["entries"]:
-            self.on_insert(key, size, cost)
+        try:
+            for key, size, cost in state["entries"]:
+                self.on_insert(key, size, cost)
+        except BaseException:
+            self._queue = DList()
+            self._nodes = {}
+            raise

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (Callable, ClassVar, ContextManager, Dict, Iterator,
-                    Optional, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from repro.errors import ConfigurationError
 
@@ -136,9 +136,25 @@ class EvictionPolicy(ABC):
         raise ConfigurationError(
             f"policy {self.name!r} does not support durable state export")
 
+    def export_stream(self) -> Tuple[Dict[str, object],
+                                     Iterator[Sequence[object]]]:
+        """:meth:`export_state` as its scalars and an iterator over its
+        ``"entries"`` rows, so a snapshot writer packs each row as it is
+        made instead of holding them all.  The rows must be taken before
+        the policy next changes.  The default splits :meth:`export_state`;
+        a policy overrides this to yield its rows lazily."""
+        state = self.export_state()
+        return state, iter(state.pop("entries"))
+
     def import_state(self, state: Dict[str, object]) -> None:
         """Restore state produced by :meth:`export_state` on an *empty*
-        policy of the same kind."""
+        policy of the same kind.  ``"entries"`` may be any iterable of
+        rows, a lazy one included: take it once, in order (the snapshot
+        decoder installs each pair into the store as its row is taken).
+        All or nothing: when taking a row raises — the decoder met a
+        corrupt record — the policy drops what it took and raises, left
+        empty with its scalars as they were, so another snapshot can be
+        imported into it."""
         raise ConfigurationError(
             f"policy {self.name!r} does not support durable state import")
 

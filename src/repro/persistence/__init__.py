@@ -42,6 +42,7 @@ from repro.persistence.recovery import (
 )
 from repro.persistence.snapshot import (
     SnapshotData,
+    SnapshotReader,
     Snapshotter,
     load_snapshot,
     restore_snapshot,
@@ -60,6 +61,7 @@ __all__ = [
     "read_log",
     "FSYNC_POLICIES",
     "SnapshotData",
+    "SnapshotReader",
     "Snapshotter",
     "save_snapshot",
     "load_snapshot",

@@ -251,11 +251,15 @@ def atomic_write(path: Union[str, os.PathLike],
     except OSError as exc:
         temp.unlink(missing_ok=True)
         raise PersistenceError(f"cannot write {final}: {exc}") from exc
+    except BaseException:
+        # the writer refused its input: leave no orphan behind
+        temp.unlink(missing_ok=True)
+        raise
     return final.stat().st_size
 
 
 @contextmanager
-def gc_paused() -> Iterator[None]:
+def gc_paused(promote: bool = False) -> Iterator[None]:
     """Run the block with the cyclic garbage collector paused.
 
     Bulk snapshot and recovery passes allocate one small object per
@@ -263,12 +267,23 @@ def gc_paused() -> Iterator[None]:
     collections that traverse every tracked object in the process.  The
     caller's GC state is restored on exit, error or not — a caller that
     had the collector disabled keeps it disabled.
+
+    ``promote`` (for a pass that builds long-lived state, like recovery)
+    moves every object alive at exit into the oldest generation
+    (``gc.freeze()`` then ``gc.unfreeze()``), where objects that survive
+    two young collections end up anyway: the restored table is not
+    traversed by those two collections first.  It is skipped when the
+    process keeps objects frozen itself, so its frozen set stays as it
+    is.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if promote and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         if was_enabled:
             gc.enable()
 

@@ -32,7 +32,7 @@ import os
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from repro.cache.kvs import KVS
 from repro.core import make_policy
@@ -45,12 +45,15 @@ from repro.persistence.format import (
 )
 from repro.persistence.snapshot import (
     SnapshotData,
+    SnapshotReader,
     Snapshotter,
     load_snapshot,
     snapshot_generations,
 )
 
 __all__ = ["RecoveryReport", "RecoveryManager", "log_path_for"]
+
+T = TypeVar("T")
 
 
 def log_path_for(directory: Union[str, os.PathLike],
@@ -101,22 +104,30 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # snapshot selection
     # ------------------------------------------------------------------
-    def load_latest_snapshot(self, now: Optional[float] = None
-                             ) -> Tuple[Optional[SnapshotData],
-                                        Optional[pathlib.Path], List[int]]:
-        """Newest loadable snapshot, its path, and the corrupt
-        generations skipped on the way down."""
+    def _newest(self, attempt: Callable[[pathlib.Path], T]
+                ) -> Tuple[Optional[T], Optional[pathlib.Path], List[int]]:
+        """``attempt`` on each snapshot, newest first, until one does not
+        raise :class:`PersistenceError`: its result, its path, and the
+        corrupt generations skipped on the way down.  A format-1 file
+        stops the walk."""
         corrupt: List[int] = []
         snapshotter = Snapshotter(self._dir)
         for generation in reversed(snapshot_generations(self._dir)):
             path = snapshotter.path_for(generation)
             try:
-                return load_snapshot(path, now=now), path, corrupt
+                return attempt(path), path, corrupt
             except UnsupportedFormatError:
                 raise
             except PersistenceError:
                 corrupt.append(generation)
         return None, None, corrupt
+
+    def load_latest_snapshot(self, now: Optional[float] = None
+                             ) -> Tuple[Optional[SnapshotData],
+                                        Optional[pathlib.Path], List[int]]:
+        """Newest loadable snapshot decoded into memory, its path, and the
+        corrupt generations skipped on the way down."""
+        return self._newest(lambda path: load_snapshot(path, now=now))
 
     # ------------------------------------------------------------------
     # full recovery
@@ -129,34 +140,46 @@ class RecoveryManager:
         """Restore the newest healthy generation into an empty ``kvs``
         and replay its operation log.
 
+        Each snapshot is decoded in one pass straight into ``kvs`` and
+        its policy (:class:`~repro.persistence.snapshot.SnapshotReader`
+        feeding :meth:`KVS.restore`); a corrupt one is rolled back out of
+        the store and the next older generation is tried.
         ``repair_log`` truncates a torn log tail in place (required
         before a :class:`~repro.persistence.manager.PersistenceManager`
         resumes appending to the same file).  Item payload bytes found
         in the snapshot are returned on the report for the caller (the
-        Store facade re-memoizes them).  ``preloaded`` short-circuits the
-        snapshot read with an earlier :meth:`load_latest_snapshot` result
-        (callers that inspect the header first — the tenancy manager
-        adopting saved allocations — avoid parsing the file twice).
-        A format-1 snapshot or log on the recovery path raises
-        :class:`~repro.persistence.format.UnsupportedFormatError` and is
-        left byte for byte as it was.
+        Store facade re-memoizes them).  ``preloaded`` restores an
+        earlier :meth:`load_latest_snapshot` result instead of reading
+        the directory (callers that inspect the header first — the
+        tenancy manager adopting saved allocations — avoid decoding the
+        file twice).  A format-1 snapshot or log on the recovery path
+        raises :class:`~repro.persistence.format.UnsupportedFormatError`
+        and is left byte for byte as it was.
         """
         report = RecoveryReport()
-        with gc_paused():
+        with gc_paused(promote=True):
             if preloaded is not None:
                 data, path, corrupt = preloaded
+                restored = None if data is None else (
+                    data, kvs.restore(data.items, data.policy_state))
             else:
-                data, path, corrupt = self.load_latest_snapshot(
-                    now=kvs.clock())
+                now = kvs.clock()
+
+                def install(path: pathlib.Path):
+                    with SnapshotReader(path, now=now) as reader:
+                        return reader, kvs.restore(reader.items,
+                                                   reader.policy_state)
+
+                restored, path, corrupt = self._newest(install)
             report.corrupt_generations = corrupt
-            if data is not None:
-                evicted = kvs.restore(data.items, data.policy_state)
-                report.generation = data.generation
+            if restored is not None:
+                snapshot, evicted = restored
+                report.generation = snapshot.generation
                 report.snapshot_path = str(path)
-                report.items_restored = data.item_count - len(evicted)
+                report.items_restored = len(snapshot.items) - len(evicted)
                 report.evicted_on_restore = len(evicted)
                 report.payloads = {
-                    key: value for key, value in data.payloads.items()
+                    key: value for key, value in snapshot.payloads.items()
                     if key in kvs}
             self._replay_log(kvs, report, repair_log=repair_log)
         return report

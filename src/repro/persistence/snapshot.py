@@ -7,9 +7,11 @@ queue id, ...) are joined into one struct-packed record.  In order:
 
 * the magic ``CAMPSNP2``;
 * a JSON *header* record — format version, generation, capacity, item
-  overhead, the store clock's reading at save time, the item count, the
-  policy's row arity, and the policy's exported scalars (its kind, CAMP's
-  ``L``/``seq``/multiplier, ...);
+  overhead, the store clock's reading at save time (the 16 hex digits of
+  its big-endian f64, so the file's length does not depend on the
+  reading; files that hold it as a JSON number still load), the item
+  count, the policy's row arity, and the policy's exported scalars (its
+  kind, CAMP's ``L``/``seq``/multiplier, ...);
 * the *pair section*: pair records packed back to back into blocks; a
   block closes once it reaches :data:`BLOCK_BYTES` (so it holds at most
   that plus one pair) and is written as one framed, checksummed record;
@@ -27,14 +29,23 @@ as an f64 — so an int cost comes back as an int — and the two high bits
 say whether an expiry and a payload follow (an absent payload differs
 from ``b""``).  An int outside i64, or a key or payload longer than its
 length field, raises :class:`PersistenceError` at save; nothing is
-truncated.  Blocks are written and read one at a time, so the IO never
-holds more than one block beyond the rows themselves.
+truncated.  Rows are packed as the policy yields them
+(:meth:`~repro.core.policy.EvictionPolicy.export_stream`) and blocks are
+written and read one at a time, so neither side holds a list of rows.
+
+:class:`SnapshotReader` is the one decoder.  Recovery hands its lazy rows
+to the policy's ``import_state`` and its item table to
+:meth:`KVS.restore <repro.cache.kvs.KVS.restore>`, so each pair is
+unpacked once and installed straight into store and policy;
+:func:`load_snapshot` collects the same rows into a
+:class:`SnapshotData` for callers that want the whole file in memory.
 
 The file is written to a temp name then published with ``os.replace`` —
 a crash mid-save leaves the previous generation untouched and at worst a
 ``*.tmp`` orphan, never a half-written snapshot under the real name.
-A snapshot is all-or-nothing: any framing, checksum or count problem
-raises :class:`SnapshotCorruptError`, and recovery falls back a
+A snapshot is all-or-nothing: any framing, checksum or count problem,
+and any record a store would refuse (size < 1, cost < 0, a key listed
+twice), raises :class:`SnapshotCorruptError`, and recovery falls back a
 generation.  The bulk phases run with the cyclic GC paused
 (:func:`~repro.persistence.format.gc_paused`).
 
@@ -59,7 +70,9 @@ import pathlib
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import IO, Dict, List, Mapping, Optional, Sequence, Union
+from itertools import chain
+from typing import (IO, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Union)
 
 from repro.cache.kvs import KVS
 from repro.core.policy import CacheItem
@@ -77,8 +90,8 @@ from repro.persistence.format import (
     write_record,
 )
 
-__all__ = ["SnapshotData", "Snapshotter", "save_snapshot", "load_snapshot",
-           "restore_snapshot", "snapshot_generations"]
+__all__ = ["SnapshotData", "SnapshotReader", "Snapshotter", "save_snapshot",
+           "load_snapshot", "restore_snapshot", "snapshot_generations"]
 
 FORMAT_VERSION = 2
 
@@ -92,6 +105,9 @@ _EXPIRES = 0x40
 _PAYLOAD = 0x80
 #: numeric slots (cost plus the policy's fields) the mask can type
 _MAX_SLOTS = 6
+
+#: the header's clock reading, written as this f64's hex digits
+_CLOCK = struct.Struct(">d")
 
 
 class _PairLayouts(dict):
@@ -123,7 +139,8 @@ class _PairLayouts(dict):
 
 @dataclass
 class SnapshotData:
-    """A parsed snapshot, expiry already rebased onto ``clock_now``.
+    """A whole snapshot decoded into memory, expiry already rebased onto
+    ``now`` (:func:`load_snapshot`).
 
     ``policy_state`` is the policy's export with its ``"entries"`` rows
     rebuilt from the pair records, ready for ``import_state``.
@@ -143,6 +160,22 @@ class SnapshotData:
         return len(self.items)
 
 
+def _encode_clock(reading: float) -> str:
+    """A clock reading as the 16 hex digits of its big-endian f64, so the
+    header's length does not depend on the reading."""
+    return _CLOCK.pack(reading).hex()
+
+
+def _decode_clock(value: object) -> float:
+    """:func:`_encode_clock`'s text, or the JSON number older files hold."""
+    if isinstance(value, str):
+        if len(value) != 2 * _CLOCK.size:
+            raise ValueError(f"clock {value!r} is not {2 * _CLOCK.size} "
+                             f"hex digits")
+        return _CLOCK.unpack(bytes.fromhex(value))[0]
+    return float(value)
+
+
 def save_snapshot(path: Union[str, os.PathLike],
                   kvs: KVS,
                   payloads: Optional[Mapping[str, bytes]] = None,
@@ -152,16 +185,18 @@ def save_snapshot(path: Union[str, os.PathLike],
     ``payloads`` optionally maps resident keys to their value bytes
     (stores that memoize values persist them here; metadata-only
     simulators pass nothing).  Returns the snapshot's size in bytes.
+    Rows are packed as the policy's
+    :meth:`~repro.core.policy.EvictionPolicy.export_stream` yields them.
     The publish is crash-ordered (:func:`~repro.persistence.format.
     atomic_write`): temp file, fsync, then ``os.replace``.
     """
     with gc_paused():
-        state = kvs.policy.export_state()
-        rows = state.pop("entries")
-        if len(rows) != len(kvs):
-            raise PersistenceError(
-                f"policy exports {len(rows)} rows for {len(kvs)} items")
-        arity = len(rows[0]) - 3 if rows else 0
+        state, rows = kvs.policy.export_stream()
+        count = len(kvs)
+        first = next(rows, None)
+        arity = len(first) - 3 if first is not None else 0
+        if first is not None:
+            rows = chain((first,), rows)
         expiring = {item.key: item.expire_at
                     for item in kvs.resident_items() if item.expire_at}
         header = {
@@ -170,8 +205,8 @@ def save_snapshot(path: Union[str, os.PathLike],
             "generation": generation,
             "capacity": kvs.capacity,
             "item_overhead": kvs.item_overhead,
-            "clock": kvs.clock(),
-            "items": len(rows),
+            "clock": _encode_clock(kvs.clock()),
+            "items": count,
             "arity": arity,
             "policy": state,
         }
@@ -179,19 +214,26 @@ def save_snapshot(path: Union[str, os.PathLike],
         def write_body(handle):
             write_magic(handle, SNAPSHOT_MAGIC)
             write_record(handle, header)
-            _write_pairs(handle, rows, arity, expiring, payloads or None)
-            write_record(handle, {"kind": "footer", "items": len(rows)})
+            written = _write_pairs(handle, rows, arity, expiring,
+                                   payloads or None)
+            if written != count:
+                raise PersistenceError(
+                    f"policy exports {written} rows for {count} items")
+            write_record(handle, {"kind": "footer", "items": count})
 
         return atomic_write(path, write_body)
 
 
-def _write_pairs(handle: IO[bytes], rows: Sequence[Sequence[object]],
+def _write_pairs(handle: IO[bytes], rows: Iterable[Sequence[object]],
                  arity: int, expiring: Mapping[str, float],
-                 payloads: Optional[Mapping[str, bytes]]) -> None:
-    """Pack ``rows`` joined with their expiry and payload into blocks."""
+                 payloads: Optional[Mapping[str, bytes]]) -> int:
+    """Pack ``rows`` joined with their expiry and payload into blocks;
+    returns the number of rows packed."""
     layouts = _PairLayouts(arity)
     block = bytearray()
+    written = 0
     for row in rows:
+        written += 1
         key = row[0]
         encoded = key.encode("utf-8")
         mask = 0
@@ -222,6 +264,7 @@ def _write_pairs(handle: IO[bytes], rows: Sequence[Sequence[object]],
             block = bytearray()
     if block:
         write_frame(handle, block)
+    return written
 
 
 def _pack_or_refuse(layouts: _PairLayouts, mask: int, key: str,
@@ -247,97 +290,187 @@ def _pack_or_refuse(layouts: _PairLayouts, mask: int, key: str,
             f"ints must fit in i64") from None
 
 
-def load_snapshot(path: Union[str, os.PathLike],
-                  now: Optional[float] = None) -> SnapshotData:
-    """Parse and validate a snapshot file.
+# CacheItem's slots, set directly: the decoder checks what
+# CacheItem.__post_init__ would, and raises SnapshotCorruptError instead
+_new_item = CacheItem.__new__
+_set_key = CacheItem.key.__set__          # type: ignore[attr-defined]
+_set_size = CacheItem.size.__set__        # type: ignore[attr-defined]
+_set_cost = CacheItem.cost.__set__        # type: ignore[attr-defined]
+_set_expire = CacheItem.expire_at.__set__  # type: ignore[attr-defined]
 
-    Raises :class:`SnapshotCorruptError` on any framing/checksum/count
-    problem — a snapshot is all-or-nothing, unlike the log — and
+
+class SnapshotReader:
+    """The snapshot decoder: one pass over a file, each pair decoded once.
+
+    Opening the reader reads the magic and the header (raising
+    :class:`SnapshotCorruptError` on a malformed one, and
     :class:`~repro.persistence.format.UnsupportedFormatError` on a
-    format-1 file.  When ``now`` is given, each item's ``expire_at`` is
-    rebased onto that clock (remaining TTL preserved; already-lapsed
-    TTLs become "expired as of now").
+    format-1 file).  :attr:`policy_state` is the header's policy scalars
+    with a *lazy* ``"entries"`` iterator: as the policy's
+    ``import_state`` takes each row ``(key, size, cost, *fields)``, the
+    pair's :class:`CacheItem` lands in :attr:`items` (key -> item) and
+    its payload in :attr:`payloads`, so :meth:`KVS.restore
+    <repro.cache.kvs.KVS.restore>` installs store and policy in the one
+    pass.  Every check runs before its row is yielded — block CRC, mask,
+    size >= 1, cost >= 0, expiry >= 0, no key twice — and the block
+    overrun, item count and footer as the pass ends; each raises
+    :class:`SnapshotCorruptError`.  When ``now`` is given each expiry is
+    rebased onto that clock (remaining TTL preserved; an already-lapsed
+    TTL becomes "expired as of now").
     """
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise PersistenceError(f"cannot read snapshot {path}: {exc}") from exc
-    with handle, gc_paused():
-        read_magic(handle, SNAPSHOT_MAGIC)
-        header = read_record(handle)
+
+    def __init__(self, path: Union[str, os.PathLike],
+                 now: Optional[float] = None) -> None:
+        self.path = path
+        self._now = now
+        self.items: Dict[str, CacheItem] = {}
+        self.payloads: Dict[str, bytes] = {}
+        try:
+            self._handle = open(path, "rb")
+        except OSError as exc:
+            raise PersistenceError(
+                f"cannot read snapshot {path}: {exc}") from exc
+        try:
+            self._read_header()
+        except BaseException:
+            self._handle.close()
+            raise
+
+    def _read_header(self) -> None:
+        path = self.path
+        read_magic(self._handle, SNAPSHOT_MAGIC)
+        header = read_record(self._handle)
         if header is None or header.get("kind") != "snapshot":
             raise SnapshotCorruptError(f"{path}: missing snapshot header")
         if header.get("version") != FORMAT_VERSION:
             raise SnapshotCorruptError(
                 f"{path}: unsupported format version {header.get('version')}")
         try:
-            expected = int(header["items"])
-            data = SnapshotData(
-                version=int(header["version"]),
-                generation=int(header.get("generation", 0)),
-                capacity=int(header["capacity"]),
-                item_overhead=int(header.get("item_overhead", 0)),
-                saved_clock=float(header["clock"]),
-                policy_state=dict(header["policy"]),
-            )
-            layouts = _PairLayouts(int(header["arity"]))
-        except (KeyError, TypeError, ValueError, PersistenceError) as exc:
+            self.version = int(header["version"])
+            self.generation = int(header.get("generation", 0))
+            self.capacity = int(header["capacity"])
+            self.item_overhead = int(header.get("item_overhead", 0))
+            self.saved_clock = _decode_clock(header["clock"])
+            self.item_count = int(header["items"])
+            #: the policy's export, its ``"entries"`` decoded as taken
+            self.policy_state = {**header["policy"], "entries": self._rows()}
+            self._layouts = _PairLayouts(int(header["arity"]))
+        except (KeyError, TypeError, ValueError, struct.error,
+                PersistenceError) as exc:
             raise SnapshotCorruptError(
                 f"{path}: malformed snapshot header: {exc}") from None
-        rows: List[tuple] = []
-        while len(rows) < expected:
-            block = read_frame(handle)
-            if block is None:
-                raise SnapshotCorruptError(f"{path}: truncated pair section")
-            try:
-                _read_block(block, layouts, rows, data, now)
-            except (struct.error, UnicodeDecodeError) as exc:
-                raise SnapshotCorruptError(
-                    f"{path}: malformed pair record: {exc}") from None
-        footer = read_record(handle)
-        if len(rows) != expected or footer is None \
+
+    def __enter__(self) -> "SnapshotReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def _rows(self) -> Iterator[tuple]:
+        try:
+            while len(self.items) < self.item_count:
+                block = read_frame(self._handle)
+                if block is None:
+                    raise SnapshotCorruptError(
+                        f"{self.path}: truncated pair section")
+                yield from self._block_rows(block)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise SnapshotCorruptError(
+                f"{self.path}: malformed pair record: {exc}") from None
+        footer = read_record(self._handle)
+        if len(self.items) != self.item_count or footer is None \
                 or footer.get("kind") != "footer" \
-                or int(footer.get("items", -1)) != expected:
-            raise SnapshotCorruptError(f"{path}: missing or wrong footer")
-    data.policy_state["entries"] = rows
-    return data
+                or footer.get("items") != self.item_count:
+            raise SnapshotCorruptError(
+                f"{self.path}: missing or wrong footer")
 
-
-def _read_block(block: bytes, layouts: _PairLayouts, rows: List[tuple],
-                data: SnapshotData, now: Optional[float]) -> None:
-    """Decode one pair block into ``rows``, ``data.items`` and
-    ``data.payloads``."""
-    items = data.items
-    payloads = data.payloads
-    saved_clock = data.saved_clock
-    row_end = layouts.arity + 4     # vals[2:row_end] = size, cost, *fields
-    offset = 0
-    end = len(block)
-    while offset < end:
-        mask = block[offset]
-        layout = layouts[mask]
-        vals = layout.unpack_from(block, offset)
-        offset += layout.size
-        stop = offset + vals[1]
-        key = block[offset:stop].decode("utf-8")
-        offset = stop
-        expire_at = 0.0
-        if mask & _EXPIRES:
-            expire_at = vals[row_end]
-            if now is not None:
-                expire_at = now + max(expire_at - saved_clock, 0.0)
-                if expire_at == 0.0:
-                    # an exactly-zero clock reading would decode as
-                    # "never expires"; nudge to "expired at epoch"
-                    expire_at = 5e-324
-        if mask & _PAYLOAD:
-            stop = offset + vals[-1]
-            payloads[key] = block[offset:stop]
+    def _block_rows(self, block: bytes) -> Iterator[tuple]:
+        """Decode one pair block: install each pair, yield its row."""
+        layouts = self._layouts
+        items = self.items
+        payloads = self.payloads
+        row_end = layouts.arity + 4     # vals[2:row_end] = size, cost, *fields
+        new_item, set_key, set_size, set_cost, set_expire = (
+            _new_item, _set_key, _set_size, _set_cost, _set_expire)
+        offset = 0
+        end = len(block)
+        last_mask = -1
+        while offset < end:
+            mask = block[offset]
+            if mask != last_mask:
+                # pairs of one file mostly share a mask: look it up once
+                layout = layouts[mask]
+                unpack = layout.unpack_from
+                width = layout.size
+                last_mask = mask
+            vals = unpack(block, offset)
+            offset += width
+            stop = offset + vals[1]
+            key = block[offset:stop].decode("utf-8")
             offset = stop
-        rows.append((key,) + vals[2:row_end])
-        items.append(CacheItem(key, vals[2], vals[3], expire_at))
-    if offset != end:
-        raise SnapshotCorruptError("pair record overruns its block")
+            size = vals[2]
+            cost = vals[3]
+            if size < 1 or cost < 0:
+                raise self._invalid(key, f"size {size}, cost {cost}")
+            item = new_item(CacheItem)
+            set_key(item, key)
+            set_size(item, size)
+            set_cost(item, cost)
+            set_expire(item, self._rebase(key, vals[row_end])
+                       if mask & _EXPIRES else 0.0)
+            if items.setdefault(key, item) is not item:
+                raise self._invalid(key, "listed twice")
+            if mask & _PAYLOAD:
+                stop = offset + vals[-1]
+                payloads[key] = block[offset:stop]
+                offset = stop
+            yield (key,) + vals[2:row_end]
+        if offset != end:
+            raise SnapshotCorruptError(
+                f"{self.path}: pair record overruns its block")
+
+    def _rebase(self, key: str, expire_at: float) -> float:
+        """A saved expiry moved onto ``now``'s clock, when one is given."""
+        if expire_at < 0:
+            raise self._invalid(key, f"expiry {expire_at}")
+        if self._now is None:
+            return expire_at
+        expire_at = self._now + max(expire_at - self.saved_clock, 0.0)
+        # an exactly-zero reading would decode as "never expires"; nudge
+        # it to "expired at epoch"
+        return expire_at or 5e-324
+
+    def _invalid(self, key: str, why: str) -> SnapshotCorruptError:
+        return SnapshotCorruptError(
+            f"{self.path}: invalid pair record for {key!r}: {why}")
+
+
+def load_snapshot(path: Union[str, os.PathLike],
+                  now: Optional[float] = None) -> SnapshotData:
+    """Decode a whole snapshot file into memory (:class:`SnapshotReader`
+    with its rows collected).
+
+    Raises :class:`SnapshotCorruptError` on any framing, checksum,
+    record or count problem — a snapshot is all-or-nothing, unlike the
+    log — and :class:`~repro.persistence.format.UnsupportedFormatError`
+    on a format-1 file.  ``now`` rebases expiry as the reader does.
+    """
+    with gc_paused(), SnapshotReader(path, now=now) as reader:
+        policy_state = reader.policy_state
+        policy_state["entries"] = list(policy_state["entries"])
+    return SnapshotData(
+        version=reader.version,
+        generation=reader.generation,
+        capacity=reader.capacity,
+        item_overhead=reader.item_overhead,
+        saved_clock=reader.saved_clock,
+        policy_state=policy_state,
+        items=list(reader.items.values()),
+        payloads=reader.payloads,
+    )
 
 
 def restore_snapshot(kvs: KVS, data: SnapshotData) -> List[CacheItem]:

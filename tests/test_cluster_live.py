@@ -261,6 +261,24 @@ class TestMembership:
 
 
 class TestSupervisorSubprocesses:
+    def test_stopped_killed_and_shut_down_nodes_close_their_pipes(
+            self, tmp_path):
+        supervisor = ClusterSupervisor(["a", "b"], memory_bytes=4 << 20,
+                                       state_dir=str(tmp_path))
+
+        def pipe(name):
+            return supervisor._nodes[name].process.stdout
+
+        with supervisor:
+            stopped, killed = pipe("a"), pipe("b")
+            supervisor.stop_node("a")
+            supervisor.kill("b")
+            assert stopped.closed and killed.closed
+            supervisor.restart("a")
+            restarted = pipe("a")
+            assert not restarted.closed
+        assert restarted.closed
+
     def test_graceful_bounce_rejoins_warm(self, tmp_path):
         supervisor = ClusterSupervisor(["solo"], memory_bytes=4 << 20,
                                        state_dir=str(tmp_path))
