@@ -26,19 +26,25 @@ RATIO = 0.25
 def _eviction_log(policy, trace, capacity):
     """One full ``simulate()`` run; (victims in order, its result).
 
-    Victims are recorded by wrapping the instance's ``pop_victim``, not
-    by a KVS listener, so the run stays on the fused path ``simulate()``
-    takes in production."""
+    Victims are recorded by wrapping the instance's ``evict`` — the
+    residency call the KVS makes for every victim, CAMP's own records
+    and the reference's base adapter alike — not by a KVS listener, so
+    the run stays on the fused path ``simulate()`` takes in production.
+    A hook the KVS no longer called would leave the log empty, so its
+    length must match the store's eviction count, and be positive."""
     log = []
-    pop_victim = policy.pop_victim
+    evict = policy.evict
 
-    def recording_pop_victim(incoming=None):
-        victim = pop_victim(incoming)
-        log.append(victim)
+    def recording_evict(incoming=None):
+        victim = evict(incoming)
+        log.append(victim.key)
         return victim
 
-    policy.pop_victim = recording_pop_victim
-    return log, simulate(KVS(capacity, policy), trace)
+    policy.evict = recording_evict
+    kvs = KVS(capacity, policy)
+    result = simulate(kvs, trace)
+    assert len(log) == kvs.eviction_count > 0
+    return log, result
 
 
 def test_hotpath_decision_equivalence(scale):

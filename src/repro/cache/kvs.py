@@ -7,14 +7,20 @@ the KVS reports a miss for its value, the request generator inserts the
 missing key-value pair in the KVS.  This results in evictions when the size
 of the incoming key-value pair is larger than the available free space."
 
-The store owns byte accounting; the policy owns victim selection.  Optional
-pieces: an admission controller (section 6 future work) and listeners (the
-occupancy tracker behind Figures 6c/6d subscribes to insert/evict events).
+The store owns byte accounting, TTLs, listeners and admission; the policy
+owns residency and victim selection.  Each resident pair has exactly one
+record, kept by the policy (:attr:`EvictionPolicy.records
+<repro.core.policy.EvictionPolicy.records>`): the KVS looks keys up in
+that table and drives the policy through its residency calls (``admit``,
+``hit``, ``evict``, ``discard``), so it keeps no per-pair table of its
+own.  Optional pieces: an admission controller (section 6 future work)
+and listeners (the occupancy tracker behind Figures 6c/6d subscribes to
+insert/evict events; they receive the records).
 
 Requests report structured :class:`~repro.cache.outcomes.Outcome` values
 (``lookup``/``insert``, or ``access`` — the simulator's
 lookup-and-insert-on-miss as one call), carry first-class TTLs
-(``expire_at`` on :class:`CacheItem`, lazily reclaimed on lookup), and can
+(``expire_at`` on each record, lazily reclaimed on lookup), and can
 be batched (``lookup_many``/``insert_many`` drive the policy under a
 single ``bulk()`` lock acquisition).  Callers normally go through
 :class:`repro.cache.store.Store`.
@@ -23,14 +29,13 @@ single ``bulk()`` lock acquisition).  Callers normally go through
 from __future__ import annotations
 
 import time
-from dataclasses import replace as dataclass_replace
 from operator import attrgetter
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Protocol, Tuple, Union)
 
 from repro.cache.outcomes import Outcome
 from repro.core.admission import AdmissionController
-from repro.core.policy import CacheItem, EvictionPolicy
+from repro.core.policy import CacheItem, EvictionPolicy, Resident
 from repro.errors import ConfigurationError, EvictionError
 
 __all__ = ["KVS", "CacheListener"]
@@ -43,11 +48,20 @@ PutEntry = Union[Tuple[str, int, Number], Tuple[str, int, Number,
 
 
 class CacheListener(Protocol):
-    """Observer of residency changes (used by metrics/occupancy trackers)."""
+    """Observer of residency changes (used by metrics/occupancy trackers).
 
-    def on_insert(self, item: CacheItem) -> None: ...
+    ``item`` is the pair's record (``key``, ``size``, ``cost``,
+    ``expire_at``); read it during the call, do not keep it — a TTL
+    touch changes a live record's ``expire_at`` in place."""
 
-    def on_evict(self, item: CacheItem, explicit: bool) -> None: ...
+    def on_insert(self, item: Resident) -> None: ...
+
+    def on_evict(self, item: Resident, explicit: bool) -> None: ...
+
+
+def _refuse(size: int, cost: Number, expire_at: float = 0.0) -> None:
+    """Raise what :class:`CacheItem` raises for an invalid pair."""
+    CacheItem("", size, cost, expire_at)
 
 
 class KVS:
@@ -82,7 +96,8 @@ class KVS:
         self._base_capacity_rules = (
             kind.fits is EvictionPolicy.fits
             and kind.wants_eviction is EvictionPolicy.wants_eviction)
-        self._items: Dict[str, CacheItem] = {}
+        #: the policy's key -> record table (read here, changed through it)
+        self._records: Dict[str, Resident] = policy.records
         self._used = 0
         self._listeners: List[CacheListener] = []
         # counters
@@ -98,15 +113,15 @@ class KVS:
         """Subscribe; listeners are notified in registration order."""
         self._listeners.append(listener)
 
-    def _notify_insert(self, item: CacheItem) -> None:
+    def _notify_insert(self, item: Resident) -> None:
         for listener in self._listeners:
             listener.on_insert(item)
 
-    def _notify_evict(self, item: CacheItem, explicit: bool) -> None:
+    def _notify_evict(self, item: Resident, explicit: bool) -> None:
         for listener in self._listeners:
             listener.on_evict(item, explicit)
 
-    def _notify_touch(self, item: CacheItem) -> None:
+    def _notify_touch(self, item: Resident) -> None:
         """TTL reset on a live key.  ``on_touch`` is an *optional* hook —
         only durability listeners care, so the protocol keeps it off the
         required surface and dispatch skips listeners without it."""
@@ -130,15 +145,15 @@ class KVS:
         return self._lookup_one(self._policy, key)
 
     def _lookup_one(self, policy: EvictionPolicy, key: str) -> Outcome:
-        item = self._items.get(key)
-        if item is None:
+        record = self._records.get(key)
+        if record is None:
             return Outcome.MISS
-        expire_at = item.expire_at
+        expire_at = record.expire_at
         if expire_at and self._clock() >= expire_at:
-            self._drop(policy, item, explicit=True)
+            self._drop(policy, record, explicit=True)
             self._expired += 1
             return Outcome.EXPIRED
-        policy.on_hit(key)
+        policy.hit(record)
         if self._admission is not None:
             self._admission.on_access(key)
         return Outcome.HIT
@@ -148,42 +163,43 @@ class KVS:
         """:meth:`lookup`, then :meth:`insert` unless it hit — one call.
 
         Returns HIT, or what happened to the insert (an expired entry is
-        reclaimed first, as ``lookup`` does).  Probes the item table
+        reclaimed first, as ``lookup`` does).  Probes the record table
         once.  With no listeners, no admission controller, no ``ttl``
         and a policy on the base capacity rules, the insert runs inline:
         one oversize check, then evict until the pair fits.  Anything
         else takes the general insert path.
         """
-        items = self._items
         policy = self._policy
-        item = items.get(key)
-        if item is not None:
-            expire_at = item.expire_at
+        record = self._records.get(key)
+        if record is not None:
+            expire_at = record.expire_at
             if not expire_at or self._clock() < expire_at:
-                policy.on_hit(key)
+                policy.hit(record)
                 if self._admission is not None:
                     self._admission.on_access(key)
                 return Outcome.HIT
-            self._drop(policy, item, explicit=True)
+            self._drop(policy, record, explicit=True)
             self._expired += 1
         if (ttl or self._listeners or self._admission is not None
                 or not self._base_capacity_rules):
             return self._insert_one(policy, key, size, cost, ttl)
         charged = size + self._overhead
-        # built before the checks, so bad input raises as insert() does
-        item = CacheItem(key, charged, cost)
+        # checked before the oversize test, so bad input raises as
+        # insert() does
+        if charged < 1 or cost < 0:
+            _refuse(charged, cost)
         capacity = self._capacity
         if charged > capacity:
             self._rejected_too_large += 1
             return Outcome.MISS_REJECTED_TOO_LARGE
         # the policy is never empty here while bytes are short: with the
         # base fits rule an empty policy means used == 0 <= capacity - charged
-        while capacity - self._used < charged:
-            self._used -= items.pop(policy.pop_victim(item)).size
+        used = self._used
+        while capacity - used < charged:
+            used -= policy.evict().size
             self._evictions += 1
-        policy.on_insert(key, charged, cost)
-        items[key] = item
-        self._used += charged
+        policy.admit(key, charged, cost)
+        self._used = used + charged
         return Outcome.MISS_INSERTED
 
     def insert(self, key: str, size: int, cost: Number,
@@ -203,79 +219,85 @@ class KVS:
                     cost: Number, ttl: Optional[float]) -> Outcome:
         charged = size + self._overhead
         expire_at = self._clock() + ttl if ttl else 0.0
-        item = CacheItem(key, charged, cost, expire_at)
+        if charged < 1 or cost < 0 or expire_at < 0:
+            _refuse(charged, cost, expire_at)
+        capacity = self._capacity
+        # a policy with its own capacity rules is asked about the incoming
+        # pair; on the base rules the byte arithmetic below is the answer
+        incoming = None
+        if not self._base_capacity_rules:
+            incoming = CacheItem(key, charged, cost, expire_at)
         # Admissibility is decided *before* any resident copy is removed,
         # so a rejected replacement cannot lose the old value.
-        if charged > self._capacity or not policy.fits(item, self._capacity):
+        if charged > capacity or (incoming is not None
+                                  and not policy.fits(incoming, capacity)):
             self._rejected_too_large += 1
             return Outcome.MISS_REJECTED_TOO_LARGE
         if self._admission is not None and not self._admission.admit(
                 key, size, cost):
             self._rejected_admission += 1
             return Outcome.MISS_REJECTED_ADMISSION
-        items = self._items
+        records = self._records
         listeners = self._listeners
-        existing = items.pop(key, None)
+        existing = records.get(key)
         if existing is not None:
-            policy.on_remove(key)
+            policy.discard(existing)
             self._used -= existing.size
             if listeners:
                 self._notify_evict(existing, explicit=True)
-        while policy.wants_eviction(item, self._capacity - self._used):
-            if not len(policy):
+        while (capacity - self._used < charged if incoming is None
+               else policy.wants_eviction(incoming, capacity - self._used)):
+            if not records:
                 # nothing left to evict yet still no room: give up
                 self._rejected_too_large += 1
                 return Outcome.MISS_REJECTED_TOO_LARGE
-            victim_key = policy.pop_victim(item)
-            victim = items.pop(victim_key)
+            victim = policy.evict(incoming)
             self._used -= victim.size
             self._evictions += 1
             if listeners:
                 self._notify_evict(victim, explicit=False)
-        policy.on_insert(key, charged, cost)
-        items[key] = item
+        record = policy.admit(key, charged, cost, expire_at)
         self._used += charged
         if listeners:
-            self._notify_insert(item)
+            self._notify_insert(record)
         return Outcome.MISS_INSERTED
 
     def touch(self, key: str, ttl: Optional[float] = None) -> bool:
         """Reset a live key's expiry (None or 0 = never); True when live."""
-        item = self._items.get(key)
-        if item is None:
+        record = self._records.get(key)
+        if record is None:
             return False
         now = self._clock()
-        if item.expire_at != 0 and now >= item.expire_at:
-            self._drop(self._policy, item, explicit=True)
+        if record.expire_at != 0 and now >= record.expire_at:
+            self._drop(self._policy, record, explicit=True)
             self._expired += 1
             return False
-        expire_at = now + ttl if ttl else 0.0
-        refreshed = dataclass_replace(item, expire_at=expire_at)
-        self._items[key] = refreshed
-        self._notify_touch(refreshed)
+        record.expire_at = now + ttl if ttl else 0.0
+        self._notify_touch(record)
         return True
 
     def peek(self, key: str) -> Optional[CacheItem]:
-        """The resident item's metadata without refreshing policy state.
+        """The resident pair's metadata without refreshing policy state.
 
         Expired-but-unreclaimed entries are reported as absent.
         """
-        item = self._items.get(key)
-        if item is None:
+        record = self._records.get(key)
+        if record is None:
             return None
-        if item.expire_at != 0 and self._clock() >= item.expire_at:
+        expire_at = record.expire_at
+        if expire_at != 0 and self._clock() >= expire_at:
             return None
-        return item
+        return CacheItem(key, record.size, record.cost, expire_at)
 
     def purge_expired(self, limit: Optional[int] = None) -> int:
         """Eagerly reclaim expired entries (all, or at most ``limit``)."""
         now = self._clock()
-        lapsed = [item for item in self._items.values()
-                  if item.expire_at != 0 and now >= item.expire_at]
+        lapsed = [record for record in self._records.values()
+                  if record.expire_at != 0 and now >= record.expire_at]
         if limit is not None:
             lapsed = lapsed[:limit]
-        for item in lapsed:
-            self._drop(self._policy, item, explicit=True)
+        for record in lapsed:
+            self._drop(self._policy, record, explicit=True)
             self._expired += 1
         return len(lapsed)
 
@@ -313,8 +335,8 @@ class KVS:
     # ------------------------------------------------------------------
     # resizing / removal
     # ------------------------------------------------------------------
-    def resize(self, new_capacity: int) -> List[CacheItem]:
-        """Change the byte budget at runtime; returns the items evicted.
+    def resize(self, new_capacity: int) -> List[Resident]:
+        """Change the byte budget at runtime; returns the records evicted.
 
         Growing simply raises the ceiling.  Shrinking evicts through the
         policy until the resident set fits the new budget, notifying
@@ -326,90 +348,85 @@ class KVS:
             raise ConfigurationError(
                 f"capacity must be >= 1, got {new_capacity}")
         self._capacity = new_capacity
-        evicted: List[CacheItem] = []
+        return self._evict_to_capacity()
+
+    def _evict_to_capacity(self) -> List[Resident]:
+        evicted: List[Resident] = []
         while self._used > self._capacity:
-            if not len(self._policy):
+            if not self._records:
                 raise EvictionError(
-                    "resize cannot reclaim space: policy is empty but "
-                    "bytes are still accounted")
-            victim_key = self._policy.pop_victim()
-            victim = self._items.pop(victim_key)
+                    "cannot reclaim space: policy is empty but bytes are "
+                    "still accounted")
+            victim = self._policy.evict()
             self._used -= victim.size
             self._evictions += 1
             evicted.append(victim)
             self._notify_evict(victim, explicit=False)
         return evicted
 
-    def restore(self, items: Union[Iterable[CacheItem],
-                                   Mapping[str, CacheItem]],
-                policy_state: Dict[str, object]) -> List[CacheItem]:
+    def restore(self, items: Union[Iterable[CacheItem], Mapping[str, float]],
+                policy_state: Dict[str, object]) -> List[Resident]:
         """Install a durable snapshot into this (empty) store.
 
-        The policy state is imported first — it must list exactly the
-        snapshot's items — then the items are installed verbatim (sizes
-        are already overhead-charged; expiry rebasing is the snapshot
-        layer's job) and listeners see each as an insert.  ``items`` is
-        an iterable of items, or a key -> item mapping that may fill while
-        the policy takes its rows (the snapshot decoder's single pass,
-        :class:`~repro.persistence.snapshot.SnapshotReader`); a mapping is
-        adopted as it stands.  If the snapshot was taken at a larger
-        capacity than this store now has, the policy evicts down to fit;
-        the evicted items are returned so the caller can account for them.
+        The policy imports its state, which makes the records (sizes are
+        already overhead-charged); then each record gets its expiry
+        (rebasing is the snapshot layer's job) and listeners see each as
+        an insert.  ``items`` says the expiries: an iterable of items
+        listing exactly the snapshot's pairs, or a key -> expiry mapping
+        of only the pairs that expire, which may fill while the policy
+        takes its rows (the snapshot decoder's single pass,
+        :class:`~repro.persistence.snapshot.SnapshotReader`).  If the
+        snapshot was taken at a larger capacity than this store now has,
+        the policy evicts down to fit; the evicted records are returned
+        so the caller can account for them.
 
         A corrupt record met by the decoder raises out of the policy's
         import, which is all or nothing, so the store and its policy are
         left empty and another snapshot can be restored into them.
         """
-        if self._items:
+        records = self._records
+        if records:
             raise ConfigurationError(
-                f"restore requires an empty store; {len(self._items)} "
+                f"restore requires an empty store; {len(records)} "
                 f"items are resident")
-        self._policy.import_state(policy_state)
-        table = self._items
+        self._policy.import_records(policy_state)
         if isinstance(items, Mapping):
-            table.update(items)
-            self._used = sum(map(attrgetter("size"), table.values()))
+            for key, expire_at in items.items():
+                records[key].expire_at = expire_at
         else:
+            listed = 0
             for item in items:
-                if item.key in table:
+                record = records.get(item.key)
+                if record is None:
                     raise ConfigurationError(
-                        f"snapshot lists {item.key!r} twice")
-                table[item.key] = item
-                self._used += item.size
-        if len(self._policy) != len(table):
-            raise ConfigurationError(
-                "snapshot policy state disagrees with its item set")
+                        f"snapshot lists {item.key!r}, which its policy "
+                        f"state does not hold")
+                record.expire_at = item.expire_at
+                listed += 1
+            if listed != len(records):
+                raise ConfigurationError(
+                    "snapshot policy state disagrees with its item set")
+        self._used = sum(map(attrgetter("size"), records.values()))
         if self._listeners:
-            for item in table.values():
-                self._notify_insert(item)
-        evicted: List[CacheItem] = []
-        while self._used > self._capacity:
-            victim_key = self._policy.pop_victim()
-            victim = self._items.pop(victim_key)
-            self._used -= victim.size
-            self._evictions += 1
-            evicted.append(victim)
-            self._notify_evict(victim, explicit=False)
-        return evicted
+            for record in records.values():
+                self._notify_insert(record)
+        return self._evict_to_capacity()
 
     def delete(self, key: str) -> bool:
         """Explicitly remove a key; True when it was resident."""
-        item = self._items.pop(key, None)
-        if item is None:
+        record = self._records.get(key)
+        if record is None:
             return False
-        self._policy.on_remove(key)
-        self._used -= item.size
-        self._notify_evict(item, explicit=True)
+        self._drop(self._policy, record, explicit=True)
         return True
 
-    def _drop(self, policy: EvictionPolicy, item: CacheItem,
+    def _drop(self, policy: EvictionPolicy, record: Resident,
               explicit: bool) -> None:
-        """Remove a known-resident item through the given policy handle."""
-        self._items.pop(item.key, None)
-        policy.on_remove(item.key)
-        self._used -= item.size
+        """Remove a known-resident record through the given policy handle."""
+        policy.discard(record)
+        self._used -= record.size
         if self._listeners:
-            self._notify_evict(item, explicit=explicit)
+            self._notify_evict(record, explicit=explicit)
 
     # ------------------------------------------------------------------
     # introspection
@@ -458,7 +475,7 @@ class KVS:
 
     def stats(self) -> Dict[str, Number]:
         return {
-            "items": len(self._items),
+            "items": len(self._records),
             "capacity": self._capacity,
             "used_bytes": self._used,
             "evictions": self._evictions,
@@ -468,25 +485,48 @@ class KVS:
         }
 
     def __contains__(self, key: str) -> bool:
-        return key in self._items
+        return key in self._records
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._records)
+
+    @property
+    def records(self) -> Mapping[str, Resident]:
+        """The policy's key -> record table, read only (snapshot writers
+        read each record's expiry here without building items)."""
+        return self._records
 
     def resident_items(self) -> Iterable[CacheItem]:
-        return self._items.values()
+        """Each resident pair as a :class:`CacheItem`, built on demand."""
+        return (CacheItem(record.key, record.size, record.cost,
+                          record.expire_at)
+                for record in self._records.values())
 
     def resident_keys(self) -> Iterable[str]:
-        return self._items.keys()
+        return self._records.keys()
 
     def check_consistency(self) -> None:
-        """Verify byte accounting and store/policy agreement (test hook)."""
-        if sum(item.size for item in self._items.values()) != self._used:
+        """Verify the record table against byte accounting and the policy
+        (test hook): the records' sizes sum to the used bytes, which fit
+        the capacity; every record sits under its own key and is resident
+        in the policy, which holds no other key; and the policy's own
+        ``check_invariants`` holds where it has one."""
+        records = self._records
+        if sum(record.size for record in records.values()) != self._used:
             raise EvictionError("byte accounting out of sync")
         if self._used > self._capacity:
             raise EvictionError("capacity exceeded")
-        if len(self._policy) != len(self._items):
-            raise EvictionError("policy and store disagree on residency")
-        for key in self._items:
-            if key not in self._policy:
+        policy = self._policy
+        if policy.records is not records:
+            raise EvictionError("policy replaced its record table")
+        for key, record in records.items():
+            if record.key != key:
+                raise EvictionError(
+                    f"record of {record.key!r} filed under {key!r}")
+            if key not in policy:
                 raise EvictionError(f"policy lost track of {key!r}")
+        if len(policy) != len(records):
+            raise EvictionError("policy and store disagree on residency")
+        check_invariants = getattr(policy, "check_invariants", None)
+        if check_invariants is not None:
+            check_invariants()

@@ -32,6 +32,7 @@ from repro.core.opt import BeladyPolicy, OfflineGreedyPolicy, next_use_schedule
 from repro.core.policy import (
     CacheItem,
     EvictionPolicy,
+    Resident,
     make_policy,
     policy_names,
     register_policy,
@@ -55,6 +56,7 @@ from repro.core.rounding import (
 __all__ = [
     "CacheItem",
     "EvictionPolicy",
+    "Resident",
     "register_policy",
     "make_policy",
     "policy_names",

@@ -22,12 +22,14 @@ With ``precision=None`` (the figure legends' ∞), rounding is the identity
 and CAMP makes exactly the same eviction decisions as
 :class:`~repro.core.gds.GdsPolicy` — enforced by an equivalence test.
 
-**Hot-path layout.**  ``on_hit``/``on_insert``/``pop_victim`` are the
-per-request critical path of every store in the repo, so they are written
-allocation-lean: the ratio conversion and significant-bit rounding are
-inlined (same arithmetic as :mod:`repro.core.rounding`, which remains the
-readable spec), and entries carry ``key``/``size``/``cost`` as plain slots
-instead of a :class:`CacheItem` allocation.
+**Hot-path layout.**  ``hit``/``admit``/``evict`` — the residency calls
+a KVS makes, which the key events ``on_hit``/``on_insert``/``pop_victim``
+wrap — are the per-request critical path of every store in the repo, so
+they are written allocation-lean: the ratio conversion and
+significant-bit rounding are inlined (same arithmetic as
+:mod:`repro.core.rounding`, which remains the readable spec), and each
+resident pair is one slotted entry, which is also the KVS's record of it
+(``key``/``size``/``cost``/``expire_at``), so a hit probes one table.
 
 The queue-head heap that decides is a plain list of ``(h, seq, head)``
 tuples ordered by the C :mod:`heapq` functions, with lazy invalidation:
@@ -67,7 +69,7 @@ from repro.errors import (
     EvictionError,
     MissingKeyError,
 )
-from repro.structures import DaryHeap, DList, DListNode, HeapEntry
+from repro.structures import DaryHeap, DList, HeapEntry
 
 __all__ = ["CampPolicy"]
 
@@ -79,37 +81,59 @@ Number = Union[int, float]
 STALE_SLACK = 32
 
 
-class _CampEntry(DListNode):
-    """A resident pair: a linked-list node carrying CAMP bookkeeping.
+class _CampEntry:
+    """A resident pair: a node of its queue's linked list carrying CAMP
+    bookkeeping.
 
-    ``key``/``size``/``cost`` live as plain slots (building a
-    :class:`CacheItem` per insert costs a validated dataclass allocation
-    on the hot path); :attr:`item` materializes one on demand for
+    The entry is the pair's only record: the KVS reads it from
+    :attr:`CampPolicy.records` (``key``/``size``/``cost``/``expire_at`` as
+    plain slots) and hands it back on a hit.  It is kept to the fields
+    CAMP cannot derive, since one exists per resident pair:
+
+    * ``base`` is ``L`` at the pair's last request, so ``H = base + c``
+      with ``c`` its queue's rounded ratio.  ``L`` is one object shared by
+      every pair requested while it holds, where ``H`` would be a new int
+      per pair; :attr:`h` adds the two up.
+    * The queue id is the owning queue's (:attr:`ratio_key`).
+    * Which multiplier the pair was last rounded under follows from
+      ``seq``: the policy records the request at which the multiplier
+      last changed (see :meth:`CampPolicy.hit`).
+    * The links are spliced by :class:`CampPolicy` itself, so the entry
+      carries no list back-pointer (it is not a ``DListNode``).
+
+    :attr:`item` materializes a :class:`CacheItem` on demand for
     introspection callers.
     """
 
-    __slots__ = ("key", "size", "cost", "h", "seq", "ratio_key", "mult",
-                 "queue")
+    __slots__ = ("prev", "next", "key", "size", "cost", "expire_at", "base",
+                 "seq", "queue")
 
-    def __init__(self, key: str, size: int, cost: Number, h: int, seq: int,
-                 ratio_key: int, mult: int) -> None:
-        # DListNode.__init__ inlined (one entry per insert on the hot path)
+    def __init__(self, key: str, size: int, cost: Number, base: int,
+                 seq: int, expire_at: float = 0.0) -> None:
         self.prev = None
         self.next = None
-        self._list = None
         self.key = key
         self.size = size
         self.cost = cost
-        self.h = h          # H value fixed at the last request
+        self.expire_at = expire_at  # absolute clock reading, 0 = never
+        self.base = base    # L at the last request: H = base + ratio_key
         self.seq = seq      # global sequence number of the last request
-        self.ratio_key = ratio_key  # rounded integer ratio = queue id
-        self.mult = mult    # converter multiplier ratio_key was rounded at
         self.queue = None   # owning _CampQueue (set on queue append)
+
+    @property
+    def ratio_key(self) -> int:
+        """The rounded integer ratio: the owning queue's id."""
+        return self.queue.ratio_key
+
+    @property
+    def h(self) -> int:
+        """H, the priority fixed at the last request."""
+        return self.base + self.queue.ratio_key
 
     @property
     def item(self) -> CacheItem:
         """The entry as a :class:`CacheItem` (diagnostics/tests)."""
-        return CacheItem(self.key, self.size, self.cost)
+        return CacheItem(self.key, self.size, self.cost, self.expire_at)
 
 
 class _CampQueue:
@@ -169,6 +193,11 @@ class CampPolicy(EvictionPolicy):
         self._converter = converter if converter is not None else RatioConverter()
         self._L = 0
         self._seq = 0
+        # the multiplier as last seen, and the request that first saw it:
+        # an entry last requested before that was rounded under an older
+        # one
+        self._mult = self._converter._max_size
+        self._mult_since = 0
         self._heap_updates = 0
         self._queues_created = 0
         self._max_queues = 0
@@ -210,7 +239,7 @@ class CampPolicy(EvictionPolicy):
         stats mirror is the caller's business."""
         index = self._index
         stale = queue.top
-        queue.top = top = (head.h, head.seq, head)
+        queue.top = top = (head.base + queue.ratio_key, head.seq, head)
         if index and index[0] is stale:
             heapreplace(index, top)
         else:
@@ -239,18 +268,31 @@ class CampPolicy(EvictionPolicy):
             heappop(index)
         return None
 
-    def _append_to_queue(self, entry: _CampEntry) -> None:
-        """Append entry at the tail of its queue, creating it if needed."""
-        queue = self._queues.get(entry.ratio_key)
+    def _append_to_queue(self, entry: _CampEntry, ratio_key: int) -> None:
+        """Append a detached entry at the tail of queue ``ratio_key``,
+        creating the queue if needed."""
+        queue = self._queues.get(ratio_key)
         if queue is None:
             pool = self._queue_pool
             if pool:
                 queue = pool.pop()
-                queue.ratio_key = entry.ratio_key
+                queue.ratio_key = ratio_key
             else:
-                queue = _CampQueue(entry.ratio_key)
-            self._queues[entry.ratio_key] = queue
-            queue.items.append(entry)
+                queue = _CampQueue(ratio_key)
+            self._queues[ratio_key] = queue
+        items = queue.items
+        # tail splice; on an existing queue this never changes the head, so
+        # the heap is untouched — the O(1) hit/insert path of the paper's
+        # Figure 3
+        sentinel = items._sentinel
+        last = sentinel.prev
+        entry.prev = last
+        entry.next = sentinel
+        last.next = entry
+        sentinel.prev = entry
+        items._size += 1
+        entry.queue = queue
+        if items._size == 1:
             top = self._set_top(queue, entry)
             if self._stats:
                 if queue.handle is None:
@@ -262,30 +304,22 @@ class CampPolicy(EvictionPolicy):
                 self._queues_created += 1
                 if len(self._queues) > self._max_queues:
                     self._max_queues = len(self._queues)
-        else:
-            # tail append never changes the head, so the heap is untouched —
-            # this is the O(1) hit/insert path the paper's Figure 3 shows
-            # (splice inlined: the entry is freshly created or detached)
-            items = queue.items
-            sentinel = items._sentinel
-            last = sentinel.prev
-            entry.prev = last
-            entry.next = sentinel
-            last.next = entry
-            sentinel.prev = entry
-            entry._list = items
-            items._size += 1
-        entry.queue = queue
 
     def _detach_from_queue(self, entry: _CampEntry) -> None:
         """Remove entry from its queue, fixing the heap if the head changed."""
         queue = entry.queue
         items = queue.items
-        was_head = items.head is entry
-        items.remove(entry)
-        if not items:
+        was_head = items._sentinel.next is entry
+        prev = entry.prev
+        nxt = entry.next
+        prev.next = nxt
+        nxt.prev = prev
+        entry.prev = None
+        entry.next = None
+        items._size -= 1
+        if not items._size:
             queue.top = None
-            del self._queues[entry.ratio_key]
+            del self._queues[queue.ratio_key]
             if len(self._queue_pool) < 64:
                 self._queue_pool.append(queue)
             self._maybe_compact()
@@ -293,18 +327,20 @@ class CampPolicy(EvictionPolicy):
                 self._mirror.remove(queue.handle)
                 self._heap_updates += 1
         elif was_head:
-            top = self._set_top(queue, items.head)
+            top = self._set_top(queue, nxt)
             if self._stats:
                 self._mirror.update(queue.handle, top)
                 self._heap_updates += 1
 
     # ------------------------------------------------------------------
-    # events
+    # residency: each entry is its pair's record (one body per event;
+    # the key events below wrap these)
     # ------------------------------------------------------------------
-    def on_hit(self, key: str) -> None:
-        entry = self._entries.get(key)
-        if entry is None:
-            raise MissingKeyError(key)
+    @property
+    def records(self) -> Dict[str, _CampEntry]:
+        return self._entries
+
+    def hit(self, entry: _CampEntry) -> None:
         self._seq = seq = self._seq + 1
         # Algorithm 1 line 2: L advances to the smallest H among all
         # resident pairs — the minimum queue head, the index's live top.
@@ -320,18 +356,25 @@ class CampPolicy(EvictionPolicy):
         mult = converter._max_size
         if size > mult:
             converter._max_size = mult = size
-        if self._reround_on_hit and mult != entry.mult:
-            # the multiplier grew since this entry was last rounded; the
-            # conversion is deterministic in (size, cost, multiplier), so
-            # an unchanged multiplier makes recomputing it a no-op — the
-            # overwhelmingly common case once the max size converges
+        if mult != self._mult:
+            # (also when another policy sharing the converter grew it)
+            self._mult = mult
+            self._mult_since = seq
+        queue = entry.queue
+        ratio_key = queue.ratio_key
+        if self._reround_on_hit and entry.seq < self._mult_since:
+            # the multiplier grew since this entry was last rounded (at its
+            # last request, entry.seq); the conversion is deterministic in
+            # (size, cost, multiplier), so an unchanged multiplier makes
+            # recomputing it a no-op — the overwhelmingly common case once
+            # the max size converges
             new_key = self._rounded_ratio_of(size, entry.cost)
-            entry.mult = mult
         else:
-            new_key = entry.ratio_key
-        h = L + new_key
-        if new_key == entry.ratio_key:
-            queue = entry.queue
+            new_key = ratio_key
+        # H = L + new_key, kept as its base L
+        entry.base = L
+        entry.seq = seq
+        if new_key == ratio_key:
             # inlined DList.move_to_tail: the LRU touch is the hottest
             # statement in the library, so the links are respliced here
             # without the method call and membership check (the entry's
@@ -348,8 +391,6 @@ class CampPolicy(EvictionPolicy):
                 entry.next = sentinel
                 last.next = entry
                 sentinel.prev = entry
-            entry.h = h
-            entry.seq = seq
             if was_head:
                 # the head changed (or the singleton's priority did)
                 top = self._set_top(queue, sentinel.next)
@@ -359,30 +400,24 @@ class CampPolicy(EvictionPolicy):
         else:
             # the adaptive multiplier grew: the pair migrates queues
             self._detach_from_queue(entry)
-            entry.ratio_key = new_key
-            entry.h = h
-            entry.seq = seq
-            self._append_to_queue(entry)
+            self._append_to_queue(entry, new_key)
 
-    def on_insert(self, key: str, size: int, cost: Number) -> None:
-        if key in self._entries:
-            raise DuplicateKeyError(key)
-        if size < 1:
-            raise ConfigurationError(f"item size must be >= 1, got {size}")
-        if cost < 0:
-            raise ConfigurationError(f"item cost must be >= 0, got {cost}")
+    def admit(self, key: str, size: int, cost: Number,
+              expire_at: float = 0.0) -> _CampEntry:
         self._seq = seq = self._seq + 1
         converter = self._converter
         mult = converter._max_size
         if size > mult:
             converter._max_size = mult = size
+        if mult != self._mult:
+            self._mult = mult
+            self._mult_since = seq
         ratio_key = self._rounded_ratio_of(size, cost)
-        entry = _CampEntry(key, size, cost, self._L + ratio_key, seq,
-                           ratio_key, mult)
+        entry = _CampEntry(key, size, cost, self._L, seq, expire_at)
         self._entries[key] = entry
         queue = self._queues.get(ratio_key)
         if queue is None:
-            self._append_to_queue(entry)
+            self._append_to_queue(entry, ratio_key)
         else:
             # existing queue: tail append, heap untouched (inlined splice)
             items = queue.items
@@ -392,11 +427,11 @@ class CampPolicy(EvictionPolicy):
             entry.next = sentinel
             last.next = entry
             sentinel.prev = entry
-            entry._list = items
             items._size += 1
             entry.queue = queue
+        return entry
 
-    def pop_victim(self, incoming: Optional[CacheItem] = None) -> str:
+    def evict(self, incoming: Optional[CacheItem] = None) -> _CampEntry:
         # line 5: the victim is the head of the minimum-priority queue
         index = self._index
         top = index[0] if index else None
@@ -414,12 +449,16 @@ class CampPolicy(EvictionPolicy):
         head.prev = sentinel
         entry.prev = None
         entry.next = None
-        entry._list = None
         items._size = size = items._size - 1
         del self._entries[entry.key]
+        # line 6: L becomes the victim's H (the minimum evaluated while the
+        # victim still counts as resident) — matching GDS; the survivors-
+        # only reading violates Proposition 3, see
+        # tests/test_competitive_ratio.py.
+        self._L = top[0]
         if size:
             # the victim's queue is the root: re-key it in place
-            queue.top = top = (head.h, head.seq, head)
+            queue.top = top = (head.base + queue.ratio_key, head.seq, head)
             heapreplace(index, top)
             if self._stats:
                 self._mirror.update(queue.handle, top)
@@ -435,18 +474,41 @@ class CampPolicy(EvictionPolicy):
                 self._mirror.remove(queue.handle)
         if self._stats:
             self._heap_updates += 1
-        # line 6: L becomes the victim's H (the minimum evaluated while the
-        # victim still counts as resident) — matching GDS; the survivors-
-        # only reading violates Proposition 3, see
-        # tests/test_competitive_ratio.py.
-        self._L = entry.h
-        return entry.key
+        return entry
 
-    def on_remove(self, key: str) -> None:
-        entry = self._entries.pop(key, None)
+    def discard(self, entry: _CampEntry) -> None:
+        del self._entries[entry.key]
+        self._detach_from_queue(entry)
+
+    def import_records(self, state: Dict[str, object]) -> None:
+        self.import_state(state)
+
+    # ------------------------------------------------------------------
+    # key events
+    # ------------------------------------------------------------------
+    def on_hit(self, key: str) -> None:
+        entry = self._entries.get(key)
         if entry is None:
             raise MissingKeyError(key)
-        self._detach_from_queue(entry)
+        self.hit(entry)
+
+    def on_insert(self, key: str, size: int, cost: Number) -> None:
+        if key in self._entries:
+            raise DuplicateKeyError(key)
+        if size < 1:
+            raise ConfigurationError(f"item size must be >= 1, got {size}")
+        if cost < 0:
+            raise ConfigurationError(f"item cost must be >= 0, got {cost}")
+        self.admit(key, size, cost)
+
+    def pop_victim(self, incoming: Optional[CacheItem] = None) -> str:
+        return self.evict(incoming).key
+
+    def on_remove(self, key: str) -> None:
+        entry = self._entries.get(key)
+        if entry is None:
+            raise MissingKeyError(key)
+        self.discard(entry)
 
     # ------------------------------------------------------------------
     # introspection
@@ -530,8 +592,8 @@ class CampPolicy(EvictionPolicy):
             sentinel = queue.items._sentinel
             entry = sentinel.next
             while entry is not sentinel:
-                yield (entry.key, entry.size, entry.cost, entry.h, entry.seq,
-                       ratio_key)
+                yield (entry.key, entry.size, entry.cost,
+                       entry.base + ratio_key, entry.seq, ratio_key)
                 entry = entry.next
 
     def export_state(self) -> Dict[str, object]:
@@ -545,21 +607,30 @@ class CampPolicy(EvictionPolicy):
         self._check_importable(state)
         precision = state["precision"]
         reround_on_hit = bool(state["reround_on_hit"])
-        L, seq, multiplier = state["L"], state["seq"], int(state["multiplier"])
-        self._index = []    # an empty policy's index holds stale tuples only
+        L, seq = state["L"], state["seq"]
+        multiplier = RatioConverter.checked_multiplier(state["multiplier"])
+        self._index.clear()   # an empty policy's index holds stale tuples only
         try:
             self._import_rows(state["entries"])
         except BaseException:
-            self._entries = {}
+            # in place: the KVS holds the entry table as its records
+            self._entries.clear()
             self._queues = {}
-            self._index = []
+            self._index.clear()
             self._mirror.clear()
             raise
         self._precision = precision
         self._reround_on_hit = reround_on_hit
         self._L = L
         self._seq = seq
-        self._converter.observe(multiplier)
+        # exactly the saved multiplier, even below one this policy has
+        # seen: rounding after the import must match the saved store's
+        self._converter.multiplier = multiplier
+        # a snapshot does not say which multiplier each member was rounded
+        # under, so every member rerounds on its first hit after the
+        # restore — exactly the seed's behaviour
+        self._mult = multiplier
+        self._mult_since = seq + 1
 
     def _import_rows(self, rows: Iterable[Sequence[object]]) -> None:
         entries = self._entries
@@ -567,18 +638,14 @@ class CampPolicy(EvictionPolicy):
         new_entry = _CampEntry.__new__
         queue_key = None
         for key, size, cost, h, seq, ratio_key in rows:
-            # _CampEntry.__init__ inlined, as on the insert path; mult=-1:
-            # a snapshot does not say which multiplier each member was
-            # rounded under, so the first hit after a restore always
-            # rerounds — exactly the seed's behaviour
+            # _CampEntry.__init__ inlined, as on the insert path
             entry = new_entry(_CampEntry)
             entry.key = key
             entry.size = size
             entry.cost = cost
-            entry.h = h
+            entry.base = h - ratio_key
             entry.seq = seq
-            entry.ratio_key = ratio_key
-            entry.mult = -1
+            entry.expire_at = 0.0
             if entries.setdefault(key, entry) is not entry:
                 raise ConfigurationError(
                     f"snapshot lists {key!r} in two queues")
@@ -588,8 +655,7 @@ class CampPolicy(EvictionPolicy):
                 queue_key = ratio_key
                 queue = queues.get(ratio_key)
                 if queue is None:
-                    entry.prev = entry.next = entry._list = None
-                    self._append_to_queue(entry)
+                    self._append_to_queue(entry, ratio_key)
                     queue = entry.queue
                     continue
             # a tail append never moves the head: the index is untouched
@@ -600,7 +666,6 @@ class CampPolicy(EvictionPolicy):
             entry.next = sentinel
             last.next = entry
             sentinel.prev = entry
-            entry._list = items
             items._size += 1
             entry.queue = queue
 
@@ -657,7 +722,7 @@ class CampPolicy(EvictionPolicy):
             prev_h = prev_seq = None
             for node in queue.items:
                 total += 1
-                assert node.ratio_key == ratio_key
+                assert node.queue is queue, "member of another queue"
                 if prev_h is not None:
                     assert node.h >= prev_h, "queue not ordered by H"
                     assert node.seq > prev_seq, "queue not ordered by seq"

@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.camp import CampPolicy
-from repro.core.policy import CacheItem, EvictionPolicy
+from repro.core.policy import CacheItem, EvictionPolicy, Resident
 from repro.core.rounding import RatioConverter
 from repro.errors import ConfigurationError, EvictionError
 
@@ -65,6 +65,33 @@ class ThreadSafePolicy(EvictionPolicy):
     @property
     def inner(self) -> EvictionPolicy:
         return self._inner
+
+    # residency: the inner policy's records, handed out under the lock
+    # (and lock-free to a batch inside bulk(), which yields the inner)
+    @property
+    def records(self) -> Dict[str, Resident]:
+        return self._inner.records
+
+    def admit(self, key: str, size: int, cost: Number,
+              expire_at: float = 0.0) -> Resident:
+        with self._lock:
+            return self._inner.admit(key, size, cost, expire_at)
+
+    def hit(self, record: Resident) -> None:
+        with self._lock:
+            self._inner.hit(record)
+
+    def evict(self, incoming: Optional[CacheItem] = None) -> Resident:
+        with self._lock:
+            return self._inner.evict(incoming)
+
+    def discard(self, record: Resident) -> None:
+        with self._lock:
+            self._inner.discard(record)
+
+    def import_records(self, state: Dict[str, object]) -> None:
+        with self._lock:
+            self._inner.import_records(state)
 
     def on_hit(self, key: str) -> None:
         with self._lock:

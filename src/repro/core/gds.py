@@ -182,7 +182,8 @@ class GdsPolicy(EvictionPolicy):
         far are dropped and the scalars are left as they were."""
         self._check_importable(state)
         integerize = bool(state["integerize"])
-        L, seq, multiplier = state["L"], state["seq"], int(state["multiplier"])
+        L, seq = state["L"], state["seq"]
+        multiplier = RatioConverter.checked_multiplier(state["multiplier"])
         try:
             for row in state["entries"]:
                 key = row[0]
@@ -199,7 +200,8 @@ class GdsPolicy(EvictionPolicy):
         self._integerize = integerize
         self._L = L
         self._seq = seq
-        self._converter.observe(multiplier)
+        # exactly the saved multiplier, even below one this policy has seen
+        self._converter.multiplier = multiplier
 
     def stats(self) -> Dict[str, Union[int, float]]:
         return {

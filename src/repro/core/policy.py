@@ -1,12 +1,29 @@
 """Eviction-policy interface shared by CAMP and every baseline.
 
 A policy tracks *metadata only*; memory accounting lives in
-:class:`repro.cache.kvs.KVS`.  The store drives the policy through four
-events — hit, insert, evict, remove — and asks :meth:`wants_eviction`
-whether space must be reclaimed before an incoming item can be admitted.
-Most policies only need the default capacity check; Pooled LRU overrides it
-to enforce its per-pool budgets (the paper's partitioned-memory baseline
-evicts even when the store as a whole has free bytes).
+:class:`repro.cache.kvs.KVS`.  Two layers drive it:
+
+* **key events** — hit, insert, evict, remove by key — the four abstract
+  methods every policy implements (the slab engine, which keeps its own
+  item table, calls these);
+* **residency** — the policy owns the one *record* per resident pair
+  (:attr:`EvictionPolicy.records`, a key -> record table the KVS reads
+  for lookup, membership and iteration) and the KVS drives it through
+  :meth:`~EvictionPolicy.admit`, :meth:`~EvictionPolicy.hit`,
+  :meth:`~EvictionPolicy.evict` and :meth:`~EvictionPolicy.discard`.  A
+  record is a slotted object carrying ``key``, ``size``, ``cost`` and
+  ``expire_at`` (the KVS sets the last one).
+
+The base class implements residency once, over the key events and a
+plain table of :class:`Resident` records, so every policy works inside a
+KVS.  CAMP and LRU override it: their own entry *is* the record, so a
+hit probes one table, not two.
+
+The store also asks :meth:`~EvictionPolicy.wants_eviction` whether space
+must be reclaimed before an incoming item can be admitted.  Most policies
+only need the default capacity check; Pooled LRU overrides it to enforce
+its per-pool budgets (the paper's partitioned-memory baseline evicts even
+when the store as a whole has free bytes).
 """
 
 from __future__ import annotations
@@ -14,13 +31,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (Callable, ClassVar, ContextManager, Dict, Iterator,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Callable, ClassVar, ContextManager, Dict, Iterable,
+                    Iterator, Optional, Sequence, Tuple, Union)
 
 from repro.errors import ConfigurationError
 
-__all__ = ["CacheItem", "EvictionPolicy", "register_policy", "make_policy",
-           "policy_names"]
+__all__ = ["CacheItem", "Resident", "EvictionPolicy", "register_policy",
+           "make_policy", "policy_names"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,11 +76,32 @@ class CacheItem:
         return self.cost / self.size
 
 
+class Resident:
+    """The base residency layer's record of one resident pair.
+
+    Mutable where :class:`CacheItem` is frozen: ``expire_at`` is reset in
+    place by a TTL touch.  Policies that own their records (CAMP, LRU)
+    carry the same four slots on their own entries instead.
+    """
+
+    __slots__ = ("key", "size", "cost", "expire_at")
+
+    def __init__(self, key: str, size: int, cost: Union[int, float],
+                 expire_at: float = 0.0) -> None:
+        self.key = key
+        self.size = size
+        self.cost = cost
+        self.expire_at = expire_at
+
+
 class EvictionPolicy(ABC):
     """Chooses which resident key to evict when space is needed."""
 
     #: short identifier used by the registry / CLI / result tables
     name: ClassVar[str] = "abstract"
+
+    #: the base residency layer's table, made on first use
+    _residents: Optional[Dict[str, Resident]] = None
 
     # ------------------------------------------------------------------
     # required event handlers
@@ -95,6 +133,67 @@ class EvictionPolicy(ABC):
 
     @abstractmethod
     def __len__(self) -> int: ...
+
+    # ------------------------------------------------------------------
+    # residency: one record per resident pair
+    # ------------------------------------------------------------------
+    # The base implementation keeps a plain key -> Resident table beside
+    # whatever the policy keeps and forwards each call as a key event.  A
+    # policy whose own entry can be the record overrides all of these
+    # together; its key events then wrap the same bodies.  Overrides
+    # must keep the table object for the policy's lifetime (clear it in
+    # place, never rebind it): the KVS holds on to it.
+
+    @property
+    def records(self) -> Dict[str, Resident]:
+        """The key -> record table of resident pairs.  Read it; change
+        it only through the calls below."""
+        table = self._residents
+        if table is None:
+            table = self._residents = {}
+        return table
+
+    def admit(self, key: str, size: int, cost: Union[int, float],
+              expire_at: float = 0.0) -> Resident:
+        """Make an absent pair resident (room already made; size >= 1 and
+        cost >= 0 already checked) and return its record."""
+        self.on_insert(key, size, cost)
+        record = self.records[key] = Resident(key, size, cost, expire_at)
+        return record
+
+    def hit(self, record: Resident) -> None:
+        """A resident pair was requested."""
+        self.on_hit(record.key)
+
+    def evict(self, incoming: Optional[CacheItem] = None) -> Resident:
+        """Select a victim, forget it, and return its record
+        (``incoming`` as for :meth:`pop_victim`)."""
+        return self.records.pop(self.pop_victim(incoming))
+
+    def discard(self, record: Resident) -> None:
+        """A resident pair left for a reason other than eviction."""
+        self.on_remove(record.key)
+        del self.records[record.key]
+
+    def import_records(self, state: Dict[str, object]) -> None:
+        """:meth:`import_state`, with each row's record in :attr:`records`
+        as soon as the policy has taken the row (the snapshot decoder
+        probes the table for a key listed twice).  All or nothing, as
+        ``import_state`` is."""
+        table = self.records
+
+        def recorded(rows: Iterable[Sequence[object]]):
+            for row in rows:
+                key = row[0]
+                table[key] = Resident(key, row[1], row[2])
+                yield row
+
+        try:
+            self.import_state({**state, "entries": recorded(
+                state["entries"])})
+        except BaseException:
+            table.clear()
+            raise
 
     # ------------------------------------------------------------------
     # optional hooks

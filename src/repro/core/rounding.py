@@ -128,6 +128,22 @@ class RatioConverter:
         """The current multiplier (largest size observed)."""
         return self._max_size
 
+    @multiplier.setter
+    def multiplier(self, value: int) -> None:
+        """Set the multiplier exactly — a restored snapshot's, which may be
+        smaller than the largest size this converter has observed."""
+        self._max_size = self.checked_multiplier(value)
+
+    @staticmethod
+    def checked_multiplier(value: object) -> int:
+        """``value`` as a multiplier, or :class:`ConfigurationError` when it
+        is below 1 (importers check before they change anything)."""
+        multiplier = int(value)
+        if multiplier < 1:
+            raise ConfigurationError(
+                f"multiplier must be >= 1, got {value!r}")
+        return multiplier
+
     def observe(self, size: int) -> bool:
         """Record an item size; returns True if the multiplier grew."""
         if size < 1:

@@ -166,8 +166,9 @@ class RecoveryManager:
                 now = kvs.clock()
 
                 def install(path: pathlib.Path):
-                    with SnapshotReader(path, now=now) as reader:
-                        return reader, kvs.restore(reader.items,
+                    with SnapshotReader(path, now=now,
+                                        records=kvs.records) as reader:
+                        return reader, kvs.restore(reader.expiries,
                                                    reader.policy_state)
 
                 restored, path, corrupt = self._newest(install)
@@ -176,7 +177,7 @@ class RecoveryManager:
                 snapshot, evicted = restored
                 report.generation = snapshot.generation
                 report.snapshot_path = str(path)
-                report.items_restored = len(snapshot.items) - len(evicted)
+                report.items_restored = snapshot.item_count - len(evicted)
                 report.evicted_on_restore = len(evicted)
                 report.payloads = {
                     key: value for key, value in snapshot.payloads.items()

@@ -34,11 +34,12 @@ truncated.  Rows are packed as the policy yields them
 written and read one at a time, so neither side holds a list of rows.
 
 :class:`SnapshotReader` is the one decoder.  Recovery hands its lazy rows
-to the policy's ``import_state`` and its item table to
-:meth:`KVS.restore <repro.cache.kvs.KVS.restore>`, so each pair is
-unpacked once and installed straight into store and policy;
-:func:`load_snapshot` collects the same rows into a
-:class:`SnapshotData` for callers that want the whole file in memory.
+and the expiries it collects to :meth:`KVS.restore
+<repro.cache.kvs.KVS.restore>`, whose policy makes each pair's one record
+as it takes the row, so each pair is unpacked once and nothing else is
+built for it; :func:`load_snapshot` collects the same rows into a
+:class:`SnapshotData` (with a :class:`CacheItem` per pair) for callers
+that want the whole file in memory.
 
 The file is written to a temp name then published with ``os.replace`` —
 a crash mid-save leaves the previous generation untouched and at worst a
@@ -71,8 +72,8 @@ import re
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (IO, Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Union)
+from typing import (IO, Container, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Union)
 
 from repro.cache.kvs import KVS
 from repro.core.policy import CacheItem
@@ -197,8 +198,9 @@ def save_snapshot(path: Union[str, os.PathLike],
         arity = len(first) - 3 if first is not None else 0
         if first is not None:
             rows = chain((first,), rows)
-        expiring = {item.key: item.expire_at
-                    for item in kvs.resident_items() if item.expire_at}
+        expiring = {key: record.expire_at
+                    for key, record in kvs.records.items()
+                    if record.expire_at}
         header = {
             "kind": "snapshot",
             "version": FORMAT_VERSION,
@@ -290,15 +292,6 @@ def _pack_or_refuse(layouts: _PairLayouts, mask: int, key: str,
             f"ints must fit in i64") from None
 
 
-# CacheItem's slots, set directly: the decoder checks what
-# CacheItem.__post_init__ would, and raises SnapshotCorruptError instead
-_new_item = CacheItem.__new__
-_set_key = CacheItem.key.__set__          # type: ignore[attr-defined]
-_set_size = CacheItem.size.__set__        # type: ignore[attr-defined]
-_set_cost = CacheItem.cost.__set__        # type: ignore[attr-defined]
-_set_expire = CacheItem.expire_at.__set__  # type: ignore[attr-defined]
-
-
 class SnapshotReader:
     """The snapshot decoder: one pass over a file, each pair decoded once.
 
@@ -306,25 +299,40 @@ class SnapshotReader:
     :class:`SnapshotCorruptError` on a malformed one, and
     :class:`~repro.persistence.format.UnsupportedFormatError` on a
     format-1 file).  :attr:`policy_state` is the header's policy scalars
-    with a *lazy* ``"entries"`` iterator: as the policy's
-    ``import_state`` takes each row ``(key, size, cost, *fields)``, the
-    pair's :class:`CacheItem` lands in :attr:`items` (key -> item) and
-    its payload in :attr:`payloads`, so :meth:`KVS.restore
-    <repro.cache.kvs.KVS.restore>` installs store and policy in the one
-    pass.  Every check runs before its row is yielded — block CRC, mask,
-    size >= 1, cost >= 0, expiry >= 0, no key twice — and the block
-    overrun, item count and footer as the pass ends; each raises
-    :class:`SnapshotCorruptError`.  When ``now`` is given each expiry is
-    rebased onto that clock (remaining TTL preserved; an already-lapsed
-    TTL becomes "expired as of now").
+    with a *lazy* ``"entries"`` iterator of rows ``(key, size, cost,
+    *fields)``: the policy's import makes each pair's record as it takes
+    the row, while the pair's expiry lands in :attr:`expiries` (only
+    pairs that expire) and its payload in :attr:`payloads`, so
+    :meth:`KVS.restore <repro.cache.kvs.KVS.restore>` installs the store
+    in the one pass and nothing else is built per pair.  Every check
+    runs before its row is yielded — block CRC, mask, size >= 1, cost >=
+    0, expiry >= 0, no key twice — and the block overrun, item count and
+    footer as the pass ends; each raises :class:`SnapshotCorruptError`.
+    When ``now`` is given each expiry is rebased onto that clock
+    (remaining TTL preserved; an already-lapsed TTL becomes "expired as
+    of now").
+
+    ``records`` is the table the rows are installed into as they are
+    taken (a KVS's :attr:`~repro.cache.kvs.KVS.records`); the check for
+    a key listed twice probes it.  Without it the reader keeps a key set
+    of its own.
     """
 
     def __init__(self, path: Union[str, os.PathLike],
-                 now: Optional[float] = None) -> None:
+                 now: Optional[float] = None,
+                 records: Optional[Container[str]] = None) -> None:
         self.path = path
         self._now = now
-        self.items: Dict[str, CacheItem] = {}
+        #: key -> rebased expiry of each pair that expires
+        self.expiries: Dict[str, float] = {}
         self.payloads: Dict[str, bytes] = {}
+        #: rows decoded so far
+        self.rows_read = 0
+        if records is None:
+            seen: set = set()
+            self._seen, self._remember = seen, seen.add
+        else:
+            self._seen, self._remember = records, None
         try:
             self._handle = open(path, "rb")
         except OSError as exc:
@@ -335,6 +343,12 @@ class SnapshotReader:
         except BaseException:
             self._handle.close()
             raise
+
+    @property
+    def items(self) -> Dict[str, float]:
+        """What :meth:`KVS.restore <repro.cache.kvs.KVS.restore>` takes
+        from this reader as its ``items``: :attr:`expiries`."""
+        return self.expiries
 
     def _read_header(self) -> None:
         path = self.path
@@ -371,7 +385,7 @@ class SnapshotReader:
 
     def _rows(self) -> Iterator[tuple]:
         try:
-            while len(self.items) < self.item_count:
+            while self.rows_read < self.item_count:
                 block = read_frame(self._handle)
                 if block is None:
                     raise SnapshotCorruptError(
@@ -381,23 +395,25 @@ class SnapshotReader:
             raise SnapshotCorruptError(
                 f"{self.path}: malformed pair record: {exc}") from None
         footer = read_record(self._handle)
-        if len(self.items) != self.item_count or footer is None \
+        if self.rows_read != self.item_count or footer is None \
                 or footer.get("kind") != "footer" \
                 or footer.get("items") != self.item_count:
             raise SnapshotCorruptError(
                 f"{self.path}: missing or wrong footer")
 
     def _block_rows(self, block: bytes) -> Iterator[tuple]:
-        """Decode one pair block: install each pair, yield its row."""
+        """Decode one pair block: check each pair, keep its expiry and
+        payload, yield its row."""
         layouts = self._layouts
-        items = self.items
+        expiries = self.expiries
         payloads = self.payloads
+        seen = self._seen
+        remember = self._remember
         row_end = layouts.arity + 4     # vals[2:row_end] = size, cost, *fields
-        new_item, set_key, set_size, set_cost, set_expire = (
-            _new_item, _set_key, _set_size, _set_cost, _set_expire)
         offset = 0
         end = len(block)
         last_mask = -1
+        rows = 0
         while offset < end:
             mask = block[offset]
             if mask != last_mask:
@@ -415,19 +431,19 @@ class SnapshotReader:
             cost = vals[3]
             if size < 1 or cost < 0:
                 raise self._invalid(key, f"size {size}, cost {cost}")
-            item = new_item(CacheItem)
-            set_key(item, key)
-            set_size(item, size)
-            set_cost(item, cost)
-            set_expire(item, self._rebase(key, vals[row_end])
-                       if mask & _EXPIRES else 0.0)
-            if items.setdefault(key, item) is not item:
+            if key in seen:
                 raise self._invalid(key, "listed twice")
+            if remember is not None:
+                remember(key)
+            if mask & _EXPIRES:
+                expiries[key] = self._rebase(key, vals[row_end])
             if mask & _PAYLOAD:
                 stop = offset + vals[-1]
                 payloads[key] = block[offset:stop]
                 offset = stop
+            rows += 1
             yield (key,) + vals[2:row_end]
+        self.rows_read += rows
         if offset != end:
             raise SnapshotCorruptError(
                 f"{self.path}: pair record overruns its block")
@@ -460,7 +476,10 @@ def load_snapshot(path: Union[str, os.PathLike],
     """
     with gc_paused(), SnapshotReader(path, now=now) as reader:
         policy_state = reader.policy_state
-        policy_state["entries"] = list(policy_state["entries"])
+        rows = policy_state["entries"] = list(policy_state["entries"])
+        expiries = reader.expiries
+        items = [CacheItem(row[0], row[1], row[2], expiries.get(row[0], 0.0))
+                 for row in rows]
     return SnapshotData(
         version=reader.version,
         generation=reader.generation,
@@ -468,7 +487,7 @@ def load_snapshot(path: Union[str, os.PathLike],
         item_overhead=reader.item_overhead,
         saved_clock=reader.saved_clock,
         policy_state=policy_state,
-        items=list(reader.items.values()),
+        items=items,
         payloads=reader.payloads,
     )
 

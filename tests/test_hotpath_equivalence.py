@@ -45,19 +45,21 @@ def _drive(policy, requests, capacity, entry):
     """Replay lookup/insert-on-miss through ``entry``; return every
     observable decision.
 
-    Victims are recorded by wrapping the instance's ``pop_victim``
-    rather than by a KVS listener, because a listener would move the
+    Victims are recorded by wrapping the instance's ``evict`` — the
+    residency call the KVS makes for every victim, whether the policy
+    owns its records (CAMP) or runs on the base adapter (the reference)
+    — rather than by a KVS listener, because a listener would move the
     ``store`` entry point off its fused fast path.
     """
     evictions = []
-    pop_victim = policy.pop_victim
+    evict = policy.evict
 
-    def recording_pop_victim(incoming=None):
-        victim = pop_victim(incoming)
-        evictions.append(victim)
+    def recording_evict(incoming=None):
+        victim = evict(incoming)
+        evictions.append(victim.key)
         return victim
 
-    policy.pop_victim = recording_pop_victim
+    policy.evict = recording_evict
     outcomes = []
     if entry == "kvs":
         kvs = KVS(capacity, policy)
@@ -73,6 +75,8 @@ def _drive(policy, requests, capacity, entry):
         for key_id, size, cost in requests:
             outcomes.append(store.access_outcome(f"k{key_id}", size, cost))
     kvs.check_consistency()
+    # a hook the KVS no longer calls would leave both logs empty, and equal
+    assert len(evictions) == kvs.eviction_count
     resident = sorted(item.key for item in kvs.resident_items())
     return outcomes, evictions, resident, policy
 

@@ -396,6 +396,64 @@ class TestPolicyStateRoundTrip:
 # ---------------------------------------------------------------------------
 # recovery
 # ---------------------------------------------------------------------------
+class TestImportSetsTheSavedMultiplier:
+    """``import_state`` sets the saved ratio multiplier exactly, also
+    into a policy that saw a larger pair before it was emptied."""
+
+    @staticmethod
+    def _saved_at_multiplier_100(policy):
+        source = build_kvs(policy, capacity=3_000)
+        for i in range(40):
+            source.insert(f"s{i}", 20 + i % 5 * 20, (1, 100, 10_000)[i % 3])
+        state = source.policy.export_state()
+        assert state["multiplier"] == 100
+        return list(source.resident_items()), state
+
+    @staticmethod
+    def _follow_up(kvs):
+        rng = random.Random(3)
+        decisions = []
+        for _ in range(400):
+            key = f"s{rng.randrange(40)}" if rng.random() < 0.5 \
+                else f"n{rng.randrange(60)}"
+            decisions.append(kvs.access(key, rng.randrange(20, 101),
+                                        rng.choice([1, 100, 10_000])))
+        assert kvs.eviction_count > 0
+        return decisions, kvs.eviction_count, sorted(kvs.resident_keys())
+
+    @pytest.mark.parametrize("policy", ["camp", "gds"])
+    def test_used_and_emptied_importer_decides_as_a_fresh_one(self, policy):
+        items, state = self._saved_at_multiplier_100(policy)
+        used = build_kvs(policy, capacity=3_000)
+        used.insert("big", 1_000, 5)
+        used.delete("big")
+        assert used.policy.export_state()["multiplier"] == 1_000
+        used.restore(items, dict(state, entries=list(state["entries"])))
+        assert used.policy.export_state()["multiplier"] == 100
+        fresh = build_kvs(policy, capacity=3_000)
+        fresh.restore(items, dict(state, entries=list(state["entries"])))
+        assert self._follow_up(used) == self._follow_up(fresh)
+        assert repr(used.policy.export_state()) == \
+            repr(fresh.policy.export_state())
+
+    @pytest.mark.parametrize("policy", ["camp", "gds"])
+    def test_multiplier_below_one_refused_before_any_row_is_taken(
+            self, policy):
+        _items, state = self._saved_at_multiplier_100(policy)
+        taken = []
+
+        def rows():
+            for row in state["entries"]:
+                taken.append(row[0])
+                yield row
+
+        target = make_policy(policy, 3_000)
+        with pytest.raises(ConfigurationError, match="multiplier"):
+            target.import_state(dict(state, multiplier=0, entries=rows()))
+        assert taken == [] and len(target) == 0
+        assert target.export_state()["multiplier"] == 1
+
+
 class TestRecovery:
     def _populated_dir(self, tmp_path, n=30):
         kvs = build_kvs("camp")
