@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from operator import attrgetter
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Protocol, Tuple, Union)
+                    Protocol, Set, Tuple, Union)
 
 from repro.cache.outcomes import Outcome
 from repro.core.admission import AdmissionController
@@ -364,18 +364,21 @@ class KVS:
             self._notify_evict(victim, explicit=False)
         return evicted
 
-    def restore(self, items: Union[Iterable[CacheItem], Mapping[str, float]],
+    def restore(self, expiries: Union[Iterable[CacheItem],
+                                      Mapping[str, float]],
                 policy_state: Dict[str, object]) -> List[Resident]:
         """Install a durable snapshot into this (empty) store.
 
         The policy imports its state, which makes the records (sizes are
         already overhead-charged); then each record gets its expiry
         (rebasing is the snapshot layer's job) and listeners see each as
-        an insert.  ``items`` says the expiries: an iterable of items
-        listing exactly the snapshot's pairs, or a key -> expiry mapping
-        of only the pairs that expire, which may fill while the policy
-        takes its rows (the snapshot decoder's single pass,
-        :class:`~repro.persistence.snapshot.SnapshotReader`).  If the
+        an insert.  ``expiries`` says them: an iterable of
+        :class:`CacheItem` listing exactly the snapshot's pairs, each
+        once, whose ``expire_at`` is taken; or a key -> expiry (a float,
+        not an item) mapping of only the pairs that expire, which may
+        fill while the policy takes its rows (the snapshot decoder's
+        single pass, :class:`~repro.persistence.snapshot.SnapshotReader`,
+        whose :attr:`expiries` it is).  If the
         snapshot was taken at a larger capacity than this store now has,
         the policy evicts down to fit; the evicted records are returned
         so the caller can account for them.
@@ -390,20 +393,24 @@ class KVS:
                 f"restore requires an empty store; {len(records)} "
                 f"items are resident")
         self._policy.import_records(policy_state)
-        if isinstance(items, Mapping):
-            for key, expire_at in items.items():
+        if isinstance(expiries, Mapping):
+            for key, expire_at in expiries.items():
                 records[key].expire_at = expire_at
         else:
-            listed = 0
-            for item in items:
-                record = records.get(item.key)
+            listed: Set[str] = set()
+            for item in expiries:
+                key = item.key
+                record = records.get(key)
                 if record is None:
                     raise ConfigurationError(
-                        f"snapshot lists {item.key!r}, which its policy "
+                        f"snapshot lists {key!r}, which its policy "
                         f"state does not hold")
+                if key in listed:
+                    raise ConfigurationError(
+                        f"snapshot lists {key!r} twice")
+                listed.add(key)
                 record.expire_at = item.expire_at
-                listed += 1
-            if listed != len(records):
+            if len(listed) != len(records):
                 raise ConfigurationError(
                     "snapshot policy state disagrees with its item set")
         self._used = sum(map(attrgetter("size"), records.values()))

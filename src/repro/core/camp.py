@@ -98,6 +98,9 @@ class _CampEntry:
     * Which multiplier the pair was last rounded under follows from
       ``seq``: the policy records the request at which the multiplier
       last changed (see :meth:`CampPolicy.hit`).
+    * ``seq``, the one number each request makes anew, is a float
+      (24 bytes, where an int is 32); it counts requests exactly up to
+      2**53, and exports and imports as an int.
     * The links are spliced by :class:`CampPolicy` itself, so the entry
       carries no list back-pointer (it is not a ``DListNode``).
 
@@ -109,7 +112,7 @@ class _CampEntry:
                  "seq", "queue")
 
     def __init__(self, key: str, size: int, cost: Number, base: int,
-                 seq: int, expire_at: float = 0.0) -> None:
+                 seq: float, expire_at: float = 0.0) -> None:
         self.prev = None
         self.next = None
         self.key = key
@@ -178,7 +181,7 @@ class CampPolicy(EvictionPolicy):
         self._precision = precision
         self._stats = stats
         # the deciding queue-head index: a heapq list of (h, seq, head)
-        self._index: List[Tuple[int, int, _CampEntry]] = []
+        self._index: List[Tuple[int, float, _CampEntry]] = []
         # built either way, so a bad arity fails here; only fed (and so
         # only counting) with stats on
         self._mirror = DaryHeap(arity=arity)
@@ -192,12 +195,12 @@ class CampPolicy(EvictionPolicy):
         self._reround_on_hit = reround_on_hit
         self._converter = converter if converter is not None else RatioConverter()
         self._L = 0
-        self._seq = 0
+        self._seq = 0.0
         # the multiplier as last seen, and the request that first saw it:
         # an entry last requested before that was rounded under an older
         # one
         self._mult = self._converter._max_size
-        self._mult_since = 0
+        self._mult_since = 0.0
         self._heap_updates = 0
         self._queues_created = 0
         self._max_queues = 0
@@ -341,7 +344,7 @@ class CampPolicy(EvictionPolicy):
         return self._entries
 
     def hit(self, entry: _CampEntry) -> None:
-        self._seq = seq = self._seq + 1
+        self._seq = seq = self._seq + 1.0
         # Algorithm 1 line 2: L advances to the smallest H among all
         # resident pairs — the minimum queue head, the index's live top.
         # (The pseudocode prints min over M \ {p}; that reading breaks the
@@ -404,7 +407,7 @@ class CampPolicy(EvictionPolicy):
 
     def admit(self, key: str, size: int, cost: Number,
               expire_at: float = 0.0) -> _CampEntry:
-        self._seq = seq = self._seq + 1
+        self._seq = seq = self._seq + 1.0
         converter = self._converter
         mult = converter._max_size
         if size > mult:
@@ -563,7 +566,7 @@ class CampPolicy(EvictionPolicy):
     def peek_min_priority(self) -> Optional[Tuple[int, int]]:
         """(H, seq) of the current eviction candidate, or None when empty."""
         top = self._live_top()
-        return None if top is None else (top[0], top[1])
+        return None if top is None else (top[0], int(top[1]))
 
     # ------------------------------------------------------------------
     # durable state (snapshot/restore hooks)
@@ -582,7 +585,7 @@ class CampPolicy(EvictionPolicy):
             "precision": self._precision,
             "reround_on_hit": self._reround_on_hit,
             "L": self._L,
-            "seq": self._seq,
+            "seq": int(self._seq),
             "multiplier": self._converter.multiplier,
         }
         return state, self._rows()
@@ -593,7 +596,7 @@ class CampPolicy(EvictionPolicy):
             entry = sentinel.next
             while entry is not sentinel:
                 yield (entry.key, entry.size, entry.cost,
-                       entry.base + ratio_key, entry.seq, ratio_key)
+                       entry.base + ratio_key, int(entry.seq), ratio_key)
                 entry = entry.next
 
     def export_state(self) -> Dict[str, object]:
@@ -607,7 +610,7 @@ class CampPolicy(EvictionPolicy):
         self._check_importable(state)
         precision = state["precision"]
         reround_on_hit = bool(state["reround_on_hit"])
-        L, seq = state["L"], state["seq"]
+        L, seq = state["L"], float(state["seq"])
         multiplier = RatioConverter.checked_multiplier(state["multiplier"])
         self._index.clear()   # an empty policy's index holds stale tuples only
         try:
@@ -630,7 +633,7 @@ class CampPolicy(EvictionPolicy):
         # under, so every member rerounds on its first hit after the
         # restore — exactly the seed's behaviour
         self._mult = multiplier
-        self._mult_since = seq + 1
+        self._mult_since = seq + 1.0
 
     def _import_rows(self, rows: Iterable[Sequence[object]]) -> None:
         entries = self._entries
@@ -644,7 +647,7 @@ class CampPolicy(EvictionPolicy):
             entry.size = size
             entry.cost = cost
             entry.base = h - ratio_key
-            entry.seq = seq
+            entry.seq = float(seq)
             entry.expire_at = 0.0
             if entries.setdefault(key, entry) is not entry:
                 raise ConfigurationError(

@@ -166,8 +166,7 @@ class RecoveryManager:
                 now = kvs.clock()
 
                 def install(path: pathlib.Path):
-                    with SnapshotReader(path, now=now,
-                                        records=kvs.records) as reader:
+                    with SnapshotReader(path, now=now) as reader:
                         return reader, kvs.restore(reader.expiries,
                                                    reader.policy_state)
 

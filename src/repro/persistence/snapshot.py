@@ -72,11 +72,11 @@ import re
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (IO, Container, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Union)
+from typing import (IO, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Union)
 
 from repro.cache.kvs import KVS
-from repro.core.policy import CacheItem
+from repro.core.policy import CacheItem, Resident
 from repro.persistence.format import (
     SNAPSHOT_MAGIC,
     PersistenceError,
@@ -311,16 +311,10 @@ class SnapshotReader:
     When ``now`` is given each expiry is rebased onto that clock
     (remaining TTL preserved; an already-lapsed TTL becomes "expired as
     of now").
-
-    ``records`` is the table the rows are installed into as they are
-    taken (a KVS's :attr:`~repro.cache.kvs.KVS.records`); the check for
-    a key listed twice probes it.  Without it the reader keeps a key set
-    of its own.
     """
 
     def __init__(self, path: Union[str, os.PathLike],
-                 now: Optional[float] = None,
-                 records: Optional[Container[str]] = None) -> None:
+                 now: Optional[float] = None) -> None:
         self.path = path
         self._now = now
         #: key -> rebased expiry of each pair that expires
@@ -328,11 +322,8 @@ class SnapshotReader:
         self.payloads: Dict[str, bytes] = {}
         #: rows decoded so far
         self.rows_read = 0
-        if records is None:
-            seen: set = set()
-            self._seen, self._remember = seen, seen.add
-        else:
-            self._seen, self._remember = records, None
+        #: keys decoded so far, for the check that none is listed twice
+        self._seen: Set[str] = set()
         try:
             self._handle = open(path, "rb")
         except OSError as exc:
@@ -343,12 +334,6 @@ class SnapshotReader:
         except BaseException:
             self._handle.close()
             raise
-
-    @property
-    def items(self) -> Dict[str, float]:
-        """What :meth:`KVS.restore <repro.cache.kvs.KVS.restore>` takes
-        from this reader as its ``items``: :attr:`expiries`."""
-        return self.expiries
 
     def _read_header(self) -> None:
         path = self.path
@@ -394,6 +379,9 @@ class SnapshotReader:
         except (struct.error, UnicodeDecodeError) as exc:
             raise SnapshotCorruptError(
                 f"{self.path}: malformed pair record: {exc}") from None
+        # every key is checked: the set goes before the reader does,
+        # which its caller may keep for the payloads
+        self._seen.clear()
         footer = read_record(self._handle)
         if self.rows_read != self.item_count or footer is None \
                 or footer.get("kind") != "footer" \
@@ -408,7 +396,7 @@ class SnapshotReader:
         expiries = self.expiries
         payloads = self.payloads
         seen = self._seen
-        remember = self._remember
+        remember = seen.add
         row_end = layouts.arity + 4     # vals[2:row_end] = size, cost, *fields
         offset = 0
         end = len(block)
@@ -433,8 +421,7 @@ class SnapshotReader:
                 raise self._invalid(key, f"size {size}, cost {cost}")
             if key in seen:
                 raise self._invalid(key, "listed twice")
-            if remember is not None:
-                remember(key)
+            remember(key)
             if mask & _EXPIRES:
                 expiries[key] = self._rebase(key, vals[row_end])
             if mask & _PAYLOAD:
@@ -492,7 +479,7 @@ def load_snapshot(path: Union[str, os.PathLike],
     )
 
 
-def restore_snapshot(kvs: KVS, data: SnapshotData) -> List[CacheItem]:
+def restore_snapshot(kvs: KVS, data: SnapshotData) -> List[Resident]:
     """Install parsed snapshot state into an empty ``kvs``.
 
     Returns items the policy had to evict when the restoring store is

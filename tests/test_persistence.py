@@ -379,6 +379,18 @@ class TestPolicyStateRoundTrip:
         with pytest.raises(ConfigurationError, match="empty"):
             kvs.restore([], {"policy": "lru", "entries": []})
 
+    @pytest.mark.parametrize("policy", ["camp", "lru"])
+    def test_restore_refuses_an_item_listed_twice(self, policy):
+        source = build_kvs(policy)
+        source.insert("a", 10, 1)
+        source.insert("b", 10, 1, ttl=30.0)
+        items = {item.key: item for item in source.resident_items()}
+        target = build_kvs(policy)
+        # as many items as pairs, but b (the one that expires) missing
+        with pytest.raises(ConfigurationError, match="'a' twice"):
+            target.restore([items["a"], items["a"]],
+                           source.policy.export_state())
+
     def test_restore_evicts_down_into_smaller_capacity(self):
         big = build_kvs("camp", capacity=4_000)
         for i in range(50):

@@ -329,7 +329,7 @@ class TestSinglePassRoundTrip:
                                    source.policy.export_state())
         target = KVS(small, POLICIES[policy](small))
         with SnapshotReader(path, now=1000.0) as reader:
-            evicted = target.restore(reader.items, reader.policy_state)
+            evicted = target.restore(reader.expiries, reader.policy_state)
         assert [item.key for item in evicted] == \
             [item.key for item in expected]
         assert target.used_bytes == control.used_bytes <= small
